@@ -13,9 +13,15 @@
 // for the float instantiation.
 //
 // Cost model: one-qubit gates and the diffusion are O(2^n); the A3 fast
-// paths are O(2^{n - index width}); memory is 16 bytes * 2^n for double and
-// 8 bytes * 2^n for float, which caps the feasible A3 depth at k ~ 10-14
-// (2k+2 <= 30 qubits).
+// paths are O(2^{n - index width}) — two amplitudes or pairs per streamed
+// bit — addressed directly by subset iteration over the free qubits,
+// (base - free_mask) & free_mask, with no per-qubit loop. They perform
+// exactly the swaps / negations of the equivalent apply_mcx / apply_mcz,
+// so they are bit-exact with them. GroverStreamer's chunk scanner skips
+// zero bits eight at a time (they only move the block offset), so a chunk
+// costs one backend call per one-bit plus one load per eight zero bits.
+// Memory is 16 bytes * 2^n for double and 8 bytes * 2^n for float, which
+// caps the feasible A3 depth at k ~ 10-14 (2k+2 <= 30 qubits).
 
 #include <cstdint>
 #include <span>

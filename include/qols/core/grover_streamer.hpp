@@ -81,8 +81,9 @@ class GroverStreamer {
 
   /// Consumes a run of symbols; identical register evolution and RNG
   /// consumption to per-symbol feeding. Zero bits only advance the offset
-  /// counter and the post-measurement tail is ignored wholesale, so both
-  /// are skipped in bulk; one-bits still emit their gate individually.
+  /// counter, so they are skipped eight per word load, and the
+  /// post-measurement tail is ignored wholesale; one-bits still emit their
+  /// gate individually.
   void feed_chunk(std::span<const stream::Symbol> chunk);
 
   /// A3's output: 1 if the measured ancilla was 0 ("looks disjoint"),

@@ -255,6 +255,10 @@ class StateVectorT {
   /// Negates every basis state i with (i & mask) == want: shared core of
   /// MCZ and the reflect-zero fixup.
   void negate_matching(std::size_t mask, std::size_t want);
+  /// Swaps the amplitudes of i and i | tbit for every i with
+  /// (i & mask) == want (tbit in mask, clear in want): shared core of the
+  /// X / CX index-register gates.
+  void swap_matching(std::size_t mask, std::size_t want, std::size_t tbit);
 
   unsigned num_qubits_;
   std::vector<Scalar> re_;

@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,19 +85,43 @@ void GroverStreamer::feed(Symbol s) {
   }
 }
 
+namespace {
+
+// First symbol in [p, end) that is not kZero, or end. kZero's byte is 0, so
+// eight symbols are tested at once: a zero word is eight zero bits, and in a
+// nonzero one the lowest set byte (in memory order) is the run's end.
+const Symbol* skip_zero_bits(const Symbol* p, const Symbol* end) {
+  static_assert(static_cast<std::uint8_t>(Symbol::kZero) == 0);
+  for (; end - p >= 8; p += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    if (w == 0) continue;
+    if constexpr (std::endian::native == std::endian::little) {
+      return p + std::countr_zero(w) / 8;
+    } else {
+      return p + std::countl_zero(w) / 8;
+    }
+  }
+  while (p < end && *p == Symbol::kZero) ++p;
+  return p;
+}
+
+}  // namespace
+
 void GroverStreamer::feed_chunk(std::span<const Symbol> chunk) {
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n) {
-    if (!in_prefix_ && (!active_ || done_)) return;  // inert for the rest
-    const Symbol s = chunk[i];
-    if (!in_prefix_ && s == Symbol::kZero) {
+  const Symbol* p = chunk.data();
+  const Symbol* const end = p + chunk.size();
+  while (p < end && in_prefix_) feed(*p++);
+  if (!active_) return;  // shape broken or k not simulated: inert
+  // Past the prefix every symbol goes straight to its handler.
+  while (p < end && !done_) {
+    const Symbol s = *p;
+    if (s == Symbol::kZero) {
       // A run of zero bits only advances the offset counter (on_bit returns
       // before touching the register), or freezes on an overlong block —
       // identical end state to feeding them one at a time.
-      std::size_t j = i + 1;
-      while (j < n && chunk[j] == Symbol::kZero) ++j;
-      const std::uint64_t run = j - i;
+      const Symbol* q = skip_zero_bits(p + 1, end);
+      const std::uint64_t run = static_cast<std::uint64_t>(q - p);
       const std::uint64_t room = m_ > off_ ? m_ - off_ : 0;
       if (run > room) {
         off_ += room;
@@ -104,11 +129,15 @@ void GroverStreamer::feed_chunk(std::span<const Symbol> chunk) {
       } else {
         off_ += run;
       }
-      i = j;
+      p = q;
       continue;
     }
-    feed(s);
-    ++i;
+    if (s == Symbol::kSep) {
+      on_sep();
+    } else {
+      on_bit(s == Symbol::kOne);
+    }
+    ++p;
   }
 }
 

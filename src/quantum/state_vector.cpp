@@ -318,8 +318,10 @@ __attribute__((target("avx2"))) void h2_span_avx2(float* __restrict__ p,
   const __m256 h =
       _mm256_set1_ps(static_cast<float>(std::numbers::sqrt2 / 2.0));
   if (b1 == 1) {
-    // One vector = two groups [a b c d | a' b' c' d'].
-    for (std::size_t g = 0; g < len; g += 8) {
+    // One vector = two groups [a b c d | a' b' c' d']; a lone last group
+    // (a two-qubit register) takes the scalar form.
+    std::size_t g = 0;
+    for (; g + 8 <= len; g += 8) {
       const __m256 v = _mm256_loadu_ps(p + g);
       const __m256 sw = _mm256_permute_ps(v, 0b10110001);  // [b a d c]
       const __m256 s1 = _mm256_mul_ps(
@@ -329,6 +331,7 @@ __attribute__((target("avx2"))) void h2_span_avx2(float* __restrict__ p,
                                        _mm256_sub_ps(sw2, s1), 0b11001100);
       _mm256_storeu_ps(p + g, _mm256_mul_ps(r, h));
     }
+    h2_span_scalar(p + g, len - g, 1);
     return;
   }
   if (b1 == 2) {
@@ -887,13 +890,16 @@ template <typename Scalar>
 void StateVectorT<Scalar>::negate_matching(std::size_t mask,
                                            std::size_t want) {
   assert((want & ~mask) == 0);
-  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
   Scalar* re = re_.data();
   Scalar* im = im_.data();
   const std::size_t run = mask == 0
                               ? dim()
                               : std::size_t{1}
                                     << std::countr_zero(mask);
+  // A run shorter than one 256-bit vector (A3's W_y gate negates runs of
+  // one) skips the dispatch; negation is exact on both paths.
+  const bool avx2 = run * sizeof(Scalar) >= 32 &&
+                    active_simd_mode() == SimdMode::kAvx2;
   const std::size_t free_high = (dim() - 1) & ~mask & ~(run - 1);
   std::size_t f = 0;
   while (true) {
@@ -1027,59 +1033,44 @@ void StateVectorT<Scalar>::apply_phase_flip_set(
   }
 }
 
+// The index-register gates fix every index qubit (plus h for W_y / R_y), so
+// only the 2^free basis states over the remaining qubits are touched. They
+// are addressed directly with the subset-iteration identity of
+// negate_matching, base' = (base - free) & free: O(2^free) work with no
+// per-qubit address loop. The swaps and negations are the same ones the
+// equivalent apply_mcx / apply_mcz perform, so results are bit-exact.
+template <typename Scalar>
+void StateVectorT<Scalar>::swap_matching(std::size_t mask, std::size_t want,
+                                         std::size_t tbit) {
+  assert((want & ~mask) == 0 && (mask & tbit) != 0 && (want & tbit) == 0);
+  const std::size_t free = (dim() - 1) & ~mask;
+  std::size_t base = 0;
+  do {
+    const std::size_t i0 = base | want;
+    std::swap(re_[i0], re_[i0 | tbit]);
+    std::swap(im_[i0], im_[i0 | tbit]);
+    base = (base - free) & free;
+  } while (base != 0);
+}
+
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_x_on_index(unsigned first, unsigned count,
                                             std::uint64_t index,
                                             unsigned target) {
   assert(first + count <= num_qubits_ && target < num_qubits_);
   assert(index < (std::uint64_t{1} << count));
-  // Enumerate the free qubits (outside the index register and the target).
-  const std::size_t index_bits = static_cast<std::size_t>(index) << first;
   const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t fixed_mask =
-      (((std::size_t{1} << count) - 1) << first) | tbit;
-  const unsigned free_qubits = num_qubits_ - count - 1;
-  const std::size_t iterations = std::size_t{1} << free_qubits;
-  // Map a compact free-index f to a full basis index by depositing its bits
-  // into the positions not covered by fixed_mask.
-  for (std::size_t f = 0; f < iterations; ++f) {
-    std::size_t base = 0;
-    std::size_t rem = f;
-    for (unsigned q = 0; q < num_qubits_; ++q) {
-      const std::size_t qb = std::size_t{1} << q;
-      if (fixed_mask & qb) continue;
-      if (rem & 1) base |= qb;
-      rem >>= 1;
-    }
-    const std::size_t i0 = base | index_bits;
-    std::swap(re_[i0], re_[i0 | tbit]);
-    std::swap(im_[i0], im_[i0 | tbit]);
-  }
+  swap_matching((((std::size_t{1} << count) - 1) << first) | tbit,
+                static_cast<std::size_t>(index) << first, tbit);
 }
 
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_z_on_index(unsigned first, unsigned count,
                                             std::uint64_t index, unsigned h) {
   assert(first + count <= num_qubits_ && h < num_qubits_);
-  const std::size_t index_bits = static_cast<std::size_t>(index) << first;
   const std::size_t hbit = std::size_t{1} << h;
-  const std::size_t fixed_mask =
-      (((std::size_t{1} << count) - 1) << first) | hbit;
-  const unsigned free_qubits = num_qubits_ - count - 1;
-  const std::size_t iterations = std::size_t{1} << free_qubits;
-  for (std::size_t f = 0; f < iterations; ++f) {
-    std::size_t base = 0;
-    std::size_t rem = f;
-    for (unsigned q = 0; q < num_qubits_; ++q) {
-      const std::size_t qb = std::size_t{1} << q;
-      if (fixed_mask & qb) continue;
-      if (rem & 1) base |= qb;
-      rem >>= 1;
-    }
-    const std::size_t i = base | index_bits | hbit;
-    re_[i] = -re_[i];
-    im_[i] = -im_[i];
-  }
+  negate_matching((((std::size_t{1} << count) - 1) << first) | hbit,
+                  (static_cast<std::size_t>(index) << first) | hbit);
 }
 
 template <typename Scalar>
@@ -1088,26 +1079,10 @@ void StateVectorT<Scalar>::apply_cx_on_index(unsigned first, unsigned count,
                                              unsigned target) {
   assert(first + count <= num_qubits_);
   assert(h < num_qubits_ && target < num_qubits_ && h != target);
-  const std::size_t index_bits = static_cast<std::size_t>(index) << first;
   const std::size_t hbit = std::size_t{1} << h;
   const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t fixed_mask =
-      (((std::size_t{1} << count) - 1) << first) | hbit | tbit;
-  const unsigned free_qubits = num_qubits_ - count - 2;
-  const std::size_t iterations = std::size_t{1} << free_qubits;
-  for (std::size_t f = 0; f < iterations; ++f) {
-    std::size_t base = 0;
-    std::size_t rem = f;
-    for (unsigned q = 0; q < num_qubits_; ++q) {
-      const std::size_t qb = std::size_t{1} << q;
-      if (fixed_mask & qb) continue;
-      if (rem & 1) base |= qb;
-      rem >>= 1;
-    }
-    const std::size_t i0 = base | index_bits | hbit;
-    std::swap(re_[i0], re_[i0 | tbit]);
-    std::swap(im_[i0], im_[i0 | tbit]);
-  }
+  swap_matching((((std::size_t{1} << count) - 1) << first) | hbit | tbit,
+                (static_cast<std::size_t>(index) << first) | hbit, tbit);
 }
 
 template <typename Scalar>

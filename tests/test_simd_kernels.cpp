@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "qols/core/grover_streamer.hpp"
@@ -203,6 +204,92 @@ TEST(SimdKernels, BlockedHRangeMatchesSequentialAcrossTileBoundary) {
       for (unsigned q = 0; q < 14; ++q) ladder.apply_h(q);
       expect_bit_identical(blocked, ladder);
     }
+  }
+}
+
+/// Random (unnormalized) amplitudes: every basis state distinct, so a swap
+/// or negation applied to the wrong address cannot cancel out.
+template <typename Scalar>
+StateVectorT<Scalar> random_state(unsigned n, Rng& rng) {
+  StateVectorT<Scalar> sv(n);
+  std::vector<Scalar> re(sv.dim());
+  std::vector<Scalar> im(sv.dim());
+  for (std::size_t i = 0; i < sv.dim(); ++i) {
+    re[i] = static_cast<Scalar>(rng.uniform01() - 0.5);
+    im[i] = static_cast<Scalar>(rng.uniform01() - 0.5);
+  }
+  sv.load(std::move(re), std::move(im));
+  return sv;
+}
+
+/// Controls pinning [first, first + count) to `index`.
+std::vector<qols::quantum::ControlTerm> index_controls(unsigned first,
+                                                       unsigned count,
+                                                       std::uint64_t index) {
+  std::vector<qols::quantum::ControlTerm> terms;
+  for (unsigned q = 0; q < count; ++q) {
+    terms.push_back({first + q, ((index >> q) & 1) != 0});
+  }
+  return terms;
+}
+
+// The A3 index-register fast paths address their amplitudes directly; they
+// must equal the general pattern-controlled gates bit for bit on every
+// layout, not just A3's (index at qubit 0, h and l above it): index
+// registers starting above qubit 0, targets below, between and above the
+// index and free qubits, and no free qubit at all.
+template <typename Scalar>
+void run_index_gates_vs_pattern_gates(Rng& rng) {
+  using qols::quantum::ControlTerm;
+  for (unsigned n = 2; n <= 6; ++n) {
+    for (unsigned first = 0; first < n; ++first) {
+      for (unsigned count = 1; first + count < n; ++count) {
+        const std::uint64_t indices = std::uint64_t{1} << count;
+        auto outside = [&](unsigned q) {
+          return q < first || q >= first + count;
+        };
+        for (std::uint64_t index = 0; index < indices; ++index) {
+          const auto terms = index_controls(first, count, index);
+          for (unsigned t = 0; t < n; ++t) {
+            if (!outside(t)) continue;
+            const StateVectorT<Scalar> start = random_state<Scalar>(n, rng);
+            StateVectorT<Scalar> fast = start;
+            StateVectorT<Scalar> ref = start;
+            fast.apply_x_on_index(first, count, index, t);
+            ref.apply_mcx(terms, t);
+            expect_bit_identical(fast, ref);
+
+            fast = start;
+            ref = start;
+            std::vector<ControlTerm> zterms = terms;
+            zterms.push_back({t, true});
+            fast.apply_z_on_index(first, count, index, t);
+            ref.apply_mcz(zterms);
+            expect_bit_identical(fast, ref);
+
+            for (unsigned target = 0; target < n; ++target) {
+              if (!outside(target) || target == t) continue;
+              fast = start;
+              ref = start;
+              fast.apply_cx_on_index(first, count, index, t, target);
+              ref.apply_mcx(zterms, target);
+              expect_bit_identical(fast, ref);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, IndexGatesMatchPatternGatesBitExact) {
+  SimdModeGuard guard;
+  Rng rng(12);
+  for (const SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
+    if (mode == SimdMode::kAvx2 && !cpu_supports_avx2()) continue;
+    qols::quantum::set_simd_mode(mode);
+    run_index_gates_vs_pattern_gates<double>(rng);
+    run_index_gates_vs_pattern_gates<float>(rng);
   }
 }
 
