@@ -1,13 +1,14 @@
 // E26 — durable session recovery: checkpoint 10^4 mid-word sessions with
 // persist(), kill the process image (destroy the service), and measure how
-// fast a fresh service rebuilds the fleet from the manifest + spills with
-// recover(). The headline claim: recovery of 10,000 evicted sessions takes
-// under 5 seconds, and every recovered session then finishes with a verdict
-// bit-identical to its uninterrupted single-stream run — zero mismatches.
+// fast a fresh service rebuilds the fleet from the manifest (which carries
+// the snapshots inline) with recover(). The headline claim: recovery of
+// 10,000 evicted sessions takes under 5 seconds, and every recovered
+// session then finishes with a verdict bit-identical to its uninterrupted
+// single-stream run — zero mismatches.
 //
 //   - checkpoint row: open the fleet, feed each session half its word,
-//     persist(). Timed for context (it pays one fsync'd spill + journal
-//     record per session); no claim attached.
+//     persist(). Timed for context (it pays one fsync'd kEvict record per
+//     session); no claim attached.
 //   - recover row: construct a new durable service over the same directory
 //     and replay the manifest. This is the restart-latency number a server
 //     operator waits behind; the claim bounds it.
@@ -191,9 +192,10 @@ int run(Reporter& rep, const RunConfig& cfg) {
 
   rep.note(
       "\nReading: recover() replays the append-only manifest journal, "
-      "verifies every claimed spill file on disk, and re-adopts the fleet "
-      "as evicted sessions (revived lazily on their next feed), so restart "
-      "latency scales with journal size, not with recognizer state. The "
+      "CRC-checking every record, snapshots included, compacts it and "
+      "re-adopts the fleet as evicted sessions (revived lazily on their "
+      "next feed with one read each), so restart latency scales with "
+      "journal size. The "
       "resume phase proves the contract that matters: a crash after a "
       "checkpoint costs zero verdicts.");
   return all_hold ? 0 : 1;

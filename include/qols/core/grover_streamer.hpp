@@ -43,6 +43,16 @@
 
 namespace qols::core {
 
+/// Largest k the dense simulator instantiates by default (2k+2 qubits).
+inline constexpr unsigned kDefaultMaxSimK = 10;
+
+/// The snapshot codec's largest image at the default ceilings: A3's dense
+/// double register at kDefaultMaxSimK (2^(2k+2) amplitudes of two f64 each,
+/// 64 MiB) plus 1 MiB for the fields around it. The classical kinds stay far
+/// below (classical-full's 2^24-bit x at k = 12 is their largest).
+inline constexpr std::size_t kMaxSnapshotBytes =
+    (std::size_t{16} << (2 * kDefaultMaxSimK + 2)) + (std::size_t{1} << 20);
+
 class GroverStreamer {
  public:
   struct Options {
@@ -55,7 +65,7 @@ class GroverStreamer {
     /// Unknown ids throw std::invalid_argument at construction.
     std::string backend{};
     /// Largest k the dense simulator will instantiate (2k+2 qubits).
-    unsigned max_sim_k = 10;
+    unsigned max_sim_k = kDefaultMaxSimK;
     /// Largest k the structured backend is auto-selected for; past this the
     /// run is reported as not simulated.
     unsigned max_structured_k = 16;

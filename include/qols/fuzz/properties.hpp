@@ -53,8 +53,8 @@
 //                         shards first), the service checkpoints with
 //                         persist() and is destroyed — the crash — and a
 //                         fresh service recover()s the session from the
-//                         manifest + spill in the same directory, feeds the
-//                         rest and finishes. The interrupted run's verdict
+//                         manifest (its snapshot inline) in the same
+//                         directory, feeds the rest and finishes. The interrupted run's verdict
 //                         must equal the straight-through single-stream run
 //                         bit for bit (the restart-resume contract the
 //                         durable session table promises).

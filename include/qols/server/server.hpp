@@ -73,17 +73,18 @@ class Server {
     /// Tests pin it small so backpressure triggers deterministically
     /// instead of depending on how many megabytes the kernel absorbs.
     int so_sndbuf = 0;
-    /// RecognizerService spill directory ("" = unique temp dir).
+    /// RecognizerService spill directory ("" = the system temp path).
     std::string spill_dir{};
     /// Durable server: the service journals session lifecycle into a
     /// manifest under spill_dir (required non-empty), the constructor
     /// recover()s any prior manifest it finds there, and disconnected
-    /// clients' sessions are preserved for the v2 RESUME frame instead of
+    /// clients' sessions are preserved for the RESUME frame instead of
     /// abandoned.
     bool durable = false;
-    /// With durable: shutdown() persists every open session (spill +
-    /// manifest compaction) instead of finishing it — the restart-resume
-    /// path. In-flight responses still flush before the loop exits.
+    /// With durable: shutdown() persists every open session (evict into
+    /// the manifest, then compaction) instead of finishing it — the
+    /// restart-resume path. In-flight responses still flush before the
+    /// loop exits.
     bool persist_on_shutdown = false;
     /// Pool for service flushes; nullptr = ThreadPool::global().
     util::ThreadPool* pool = nullptr;

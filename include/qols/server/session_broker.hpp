@@ -119,8 +119,6 @@ class SessionBroker {
   std::size_t open_sessions() const noexcept { return sessions_.size(); }
   bool hello_done() const noexcept { return hello_done_; }
   bool closed() const noexcept { return closed_; }
-  /// Protocol version negotiated by HELLO (0 before HELLO).
-  std::uint32_t negotiated_version() const noexcept { return version_; }
 
   /// Peer went away: with preserve_on_disconnect, release_sessions();
   /// otherwise finishes and discards every session this connection still
@@ -145,7 +143,6 @@ class SessionBroker {
   std::unordered_map<std::uint64_t, std::uint64_t> sessions_;
   bool hello_done_ = false;
   bool closed_ = false;
-  std::uint32_t version_ = 0;  ///< negotiated by HELLO
 };
 
 }  // namespace qols::server

@@ -54,12 +54,9 @@
 namespace qols::server::wire {
 
 /// Bumped on any incompatible frame or payload change. HELLO carries the
-/// client's version; the server accepts [kMinProtocolVersion,
-/// kProtocolVersion] (v2 added RESUME without touching the v1 frames), echoes
-/// the client's version in HELLO_OK, and refuses anything else with
-/// kBadVersion. RESUME is only legal on a v2 conversation.
+/// client's version; the server answers exactly this version in HELLO_OK
+/// and refuses any other with kBadVersion.
 inline constexpr std::uint32_t kProtocolVersion = 2;
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
 
 /// Hard ceiling on a single frame's payload. A length prefix above this is
 /// rejected before any allocation. Large feeds simply span several frames —
@@ -80,14 +77,14 @@ enum class FrameType : std::uint8_t {
   kFinish = 0x04,
   kStats = 0x05,
   kMetrics = 0x06,
-  kResume = 0x07,  ///< protocol v2
+  kResume = 0x07,
   // server -> client
   kHelloOk = 0x81,
   kOpenOk = 0x82,
   kVerdict = 0x83,
   kStatsText = 0x84,
   kMetricsText = 0x85,
-  kResumeOk = 0x87,  ///< protocol v2
+  kResumeOk = 0x87,
   kError = 0xee,
 };
 

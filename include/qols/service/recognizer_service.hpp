@@ -105,21 +105,19 @@ class RecognizerService {
     std::uint64_t flush_threshold = std::uint64_t{1} << 18;
     /// Pool to shard session work onto; nullptr = util::ThreadPool::global().
     util::ThreadPool* pool = nullptr;
-    /// Directory for evicted-session spill files; empty = a unique directory
-    /// under the system temp path, created lazily on first evict() and
-    /// removed (best effort) with the service. Durable services (below) keep
-    /// their spill directory across restarts instead.
+    /// Directory for the spill log that holds evicted sessions (a scratch
+    /// SessionTable, created on first evict() and removed with the
+    /// service); empty = the system temp path. Durable services (below)
+    /// keep their manifest there across restarts instead.
     std::string spill_dir{};
-    /// Durable mode: journal every open/evict/revive/finish/migrate into the
-    /// session manifest (SessionTable) under spill_dir, so persist() +
-    /// recover() carry live sessions across a process restart. Requires a
-    /// non-empty spill_dir (the directory IS the durable identity; the ctor
-    /// throws std::invalid_argument otherwise). The destructor of a durable
-    /// service leaves spill files and the manifest in place.
+    /// Durable mode: journal every open/evict/revive/finish/migrate, with
+    /// evicted snapshots inline, into the session manifest (SessionTable)
+    /// under spill_dir, so persist() + recover() carry live sessions across
+    /// a process restart. Requires a non-empty spill_dir (the directory IS
+    /// the durable identity; the ctor throws std::invalid_argument
+    /// otherwise). The destructor of a durable service leaves the manifest
+    /// in place.
     bool durable = false;
-    /// Manifest fsync batching (SessionTable::Options::sync_every). Evict
-    /// records and compaction always force a sync regardless.
-    std::uint64_t manifest_sync_every = 32;
   };
 
   /// Aggregate throughput counters (monotonic since construction or the
@@ -136,7 +134,7 @@ class RecognizerService {
     double busy_seconds = 0.0;
     std::uint64_t evictions = 0;
     std::uint64_t revives = 0;
-    /// Spill-file bytes written by evict() / read back by revive.
+    /// Snapshot bytes written by evict() / read back by revive.
     std::uint64_t spill_bytes_written = 0;
     std::uint64_t spill_bytes_read = 0;
     /// Cross-shard migrations completed (resident-path migrations also bump
@@ -181,8 +179,7 @@ class RecognizerService {
   /// wire session ids straight onto service ids with no translation table.
   /// Throws std::invalid_argument when `id` is currently open (resident OR
   /// evicted). The id-reuse rule: an id becomes reusable the moment
-  /// finish() retires it (its spill file, if any, is removed by then), and
-  /// never before. Returns `id`.
+  /// finish() retires it, and never before. Returns `id`.
   SessionId open_at(SessionId id, std::uint64_t seed);
 
   /// Buffers a chunk for the session (copied; the caller's span may die).
@@ -200,22 +197,23 @@ class RecognizerService {
   void feed_borrowed(SessionId id, std::span<const stream::Symbol> chunk);
 
   /// Drains the session's remaining buffer, finishes the recognizer, and
-  /// retires the session (reviving it first if evicted; its spill file is
-  /// removed). Sessions may finish in any order. Throws std::out_of_range
-  /// on an unknown or already-finished session.
+  /// retires the session (reviving it first if evicted). Sessions may
+  /// finish in any order. Throws std::out_of_range on an unknown or
+  /// already-finished session.
   Verdict finish(SessionId id);
 
-  /// Spills an idle session to disk: drains its buffer, serializes the
-  /// recognizer (OnlineRecognizer::snapshot) into a file under the spill
-  /// directory, and frees the in-memory recognizer. A later feed()/
+  /// Spills an idle session to disk: drains its buffer, appends the
+  /// recognizer's snapshot (OnlineRecognizer::snapshot) to the spill log,
+  /// and frees the in-memory recognizer. A later feed()/
   /// feed_borrowed()/finish() restores it bit-identically. Evicting an
   /// already-evicted session is a no-op; an unknown or finished session
   /// throws std::out_of_range; a recognizer that cannot snapshot throws
   /// machine::UnsupportedSnapshot and the session stays resident.
   void evict(SessionId id);
 
-  /// Restores an evicted session into memory (no-op when resident). Throws
-  /// std::out_of_range on an unknown or finished session.
+  /// Restores an evicted session into memory (no-op when resident) with
+  /// one read of its log record. Throws std::out_of_range on an unknown or
+  /// finished session, and ManifestCorrupt when the record fails its CRC.
   void revive(SessionId id);
 
   /// True when the session is currently spilled to disk.
@@ -264,11 +262,10 @@ class RecognizerService {
   /// Rebuilds the session table from the manifest in this service's (durable)
   /// spill_dir. Must run before any session operation when the directory
   /// holds a prior manifest — journaled operations throw std::logic_error
-  /// until then. Verifies every claimed spill file exists with the recorded
-  /// size (else SpillMissing) and that no unclaimed qols-session-*.snap
-  /// remains (else OrphanSpill); torn/corrupt manifests raise the
-  /// SessionTable typed errors. Never fabricates a verdict: recovered
-  /// sessions resume bit-identically or recovery fails loudly.
+  /// until then. Torn/corrupt manifests, a damaged snapshot payload
+  /// included, raise the SessionTable typed errors. Never fabricates a
+  /// verdict: recovered sessions resume bit-identically or recovery fails
+  /// loudly.
   RecoveryReport recover();
 
   /// True when the durable ctor found a prior manifest and recover() has not
@@ -301,12 +298,6 @@ class RecognizerService {
     std::vector<stream::Symbol> pending;
     std::size_t shard = 0;
     bool evicted = false;
-    /// Construction seed — recorded so the manifest can be compacted to
-    /// kOpen records that rebuild the session faithfully.
-    std::uint64_t seed = 0;
-    /// Spill-file size while evicted (0 when resident); recover() checks it
-    /// against the file on disk.
-    std::uint64_t spill_bytes = 0;
   };
 
   struct Shard {
@@ -347,8 +338,6 @@ class RecognizerService {
     telemetry::Counter& spill_bytes_read;
     telemetry::Counter& migrations;
     telemetry::Counter& recovered_sessions;
-    telemetry::Counter& manifest_records;
-    telemetry::Counter& compactions;
     telemetry::LatencyHistogram& flush_ns;
     telemetry::LatencyHistogram& finish_ns;
 
@@ -364,12 +353,12 @@ class RecognizerService {
   /// holds that session's shard mutex.
   void drain_locked(SessionId id, Session& session);
   void revive_session(SessionId id, Session& session);
-  std::string spill_path(SessionId id);
   /// The durable journal, or nullptr outside durable mode. Throws
   /// std::logic_error while a prior manifest awaits recover().
   SessionTable* journal();
-  /// sessions_ as the manifest's live-session view (compaction input).
-  std::map<SessionId, SessionTable::LiveSession> live_view() const;
+  /// Where evicted sessions live: the journal, or (not durable) the scratch
+  /// log, opened on first use.
+  SessionTable& spill_log();
 
   Config config_;
   util::ThreadPool* pool_ = nullptr;
@@ -386,9 +375,7 @@ class RecognizerService {
   /// written with absolute set()s so toggling telemetry at runtime can
   /// never leave a gauge out of sync with the shard.
   std::vector<telemetry::Gauge*> shard_depth_;
-  std::string spill_dir_;        // resolved on first evict()
-  bool owns_spill_dir_ = false;  // we created it; remove it in the dtor
-  std::unique_ptr<SessionTable> table_;  // durable mode only
+  std::unique_ptr<SessionTable> log_;  // the journal, or the scratch log
   bool pending_recovery_ = false;
   StatCells cells_;
   Instruments telem_;

@@ -1,54 +1,62 @@
 #pragma once
-// The durable session table: a crash-safe, append-only manifest journal of
-// session lifecycle records, written under the service's spill directory.
+// The session table: the one store for evicted sessions. An append-only,
+// CRC-framed log whose kEvict records carry the snapshot bytes inline, plus
+// an in-memory index from session id to that record.
 //
-// The PR 7 snapshot codec can freeze any recognizer to bytes, but the
-// session table itself — which ids are open, which are spilled, which shard
-// owns them — lived only in memory, so a process restart orphaned every
-// spill file. This journal is the missing half of the durability contract:
+// A session's whole state between input bits is one machine configuration,
+// and the snapshot codec already turns it into bytes; the log keeps those
+// bytes next to the lifecycle records that say which sessions are open and
+// where they are pinned, so the file is the complete restart state:
 //
 //   file    <spill_dir>/qols-manifest.journal
-//   header  8 bytes: 'Q' 'O' 'L' 'S' 'M' 'A' 'N' <version=1>
+//   header  8 bytes: 'Q' 'O' 'L' 'S' 'M' 'A' 'N' <version=2>
 //   record  u32 payload_len | u32 crc32(payload) | payload
 //   payload u8 record type, then little-endian fields (util::serde):
 //     kOpen    (1): u64 id, u64 seed, u64 shard
-//     kEvict   (2): u64 id, u64 spill_bytes
+//     kEvict   (2): u64 id, snapshot bytes (the rest of the payload)
 //     kRevive  (3): u64 id
 //     kFinish  (4): u64 id
 //     kMigrate (5): u64 id, u64 shard
 //
-// Write-ordering invariant: THE JOURNAL NEVER CLAIMS A SPILL THAT IS NOT
-// DURABLE. evict() writes and syncs the spill file before appending kEvict;
-// revive appends kRevive before unlinking the spill file. A real crash in
-// either window therefore leaves a spill file the journal does not claim —
-// recovery reports it as the typed OrphanSpill error, never a wrong verdict.
+// Revive is one pread of the session's kEvict record, whose CRC is checked
+// on that read (ManifestCorrupt on a mismatch).
 //
-// Sync policy: records are written immediately (one write() per record) and
-// fsync'd in batches of Options::sync_every; evict records and compaction
-// force a sync (a spilled session must survive power loss, not just process
-// death).
+// Two kinds of log share this format:
+//   durable — the manifest above. Every lifecycle record is journaled;
+//             records are fsync'd in batches of kSyncEvery, and evict
+//             records and compaction force a sync (a spilled session must
+//             survive power loss, not just process death).
+//   scratch — a non-durable service's spill store: a uniquely named
+//             qols-spill-<pid>-<n>.log in the spill directory. It holds
+//             kEvict records only, is never fsync'd, is never named like a
+//             manifest (so it can never be taken for one), and the
+//             destructor removes it.
 //
-// Compaction invariant: compact(live) atomically (tmp + fsync + rename +
-// dir fsync) replaces the journal with the minimal record sequence whose
-// replay equals the live-session view — one kOpen per live session (with its
-// CURRENT shard, folding migrations) plus one kEvict per spilled session.
+// Compaction: compact() atomically (tmp + rename; durable adds fsync and a
+// directory fsync) replaces the log with the minimal record sequence whose
+// replay equals the live view — one kOpen per live session (durable only,
+// with its CURRENT shard, folding migrations) plus one kEvict per evicted
+// session, copied from the old file one record at a time. Appends trigger
+// it on their own once the dead bytes (revived and finished payloads,
+// spent lifecycle records) exceed kCompactRatio times the live bytes and
+// kCompactFloor.
 //
-// Recovery (replay) is a pure function of the file. Typed errors:
+// Recovery (replay) is a pure function of the file, read record by record
+// (never more than one payload in memory). Typed errors:
 //   ManifestMissing — no journal file, or a zero-byte file (a crash before
 //                     the header became durable left nothing to recover);
 //   ManifestTorn    — the file ends mid-header or mid-record (the classic
 //                     torn final append);
-//   ManifestCorrupt — bad magic/version, CRC mismatch, implausible record
-//                     length, or a record that contradicts the replay state
-//                     (open of a live id, evict of an unknown id, ...);
-//   OrphanSpill     — a qols-session-*.snap file no live evicted session
-//                     claims (raised by RecognizerService::recover);
-//   SpillMissing    — a live evicted session whose spill file is absent or
-//                     has the wrong size (raised by recover as well).
+//   ManifestCorrupt — bad magic/version, CRC mismatch, a record length of 0
+//                     or past kMaxRecordPayload, or a record that
+//                     contradicts the replay state (open of a live id,
+//                     evict of an unknown id, ...).
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,16 +85,6 @@ class ManifestCorrupt : public RecoveryError {
   using RecoveryError::RecoveryError;
 };
 
-class OrphanSpill : public RecoveryError {
- public:
-  using RecoveryError::RecoveryError;
-};
-
-class SpillMissing : public RecoveryError {
- public:
-  using RecoveryError::RecoveryError;
-};
-
 /// Thrown by the test-only abort_after() hook to simulate a crash at a
 /// journal record boundary. NOT a RecoveryError: production code never
 /// throws or catches it; the kill-point matrix test does both.
@@ -95,8 +93,8 @@ class InjectedCrash : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only journal over the manifest file. Single-writer (the service's
-/// acceptor thread); replay() is static and touches only the file.
+/// Append-only log plus its index. Single-writer (the service's acceptor
+/// thread); replay() is static and touches only the file.
 class SessionTable {
  public:
   enum class RecordType : std::uint8_t {
@@ -107,20 +105,24 @@ class SessionTable {
     kMigrate = 5,
   };
 
-  struct Options {
-    /// Directory holding the journal (and the spill files it describes).
-    std::string dir;
-    /// fsync after this many unsynced records; 0 = sync every record.
-    /// Evict records and compaction always force a sync.
-    std::uint64_t sync_every = 32;
-  };
+  /// Durable journals fsync after this many unsynced records.
+  static constexpr std::uint64_t kSyncEvery = 32;
+  /// Automatic compaction: dead bytes must exceed both kCompactRatio times
+  /// the live bytes and kCompactFloor.
+  static constexpr std::uint64_t kCompactRatio = 1;
+  static constexpr std::uint64_t kCompactFloor = std::uint64_t{256} << 10;
+  /// Largest record payload: a kEvict of the largest snapshot image.
+  static const std::uint32_t kMaxRecordPayload;
 
-  /// One live session as the journal describes it.
+  /// One live session as the log describes it.
   struct LiveSession {
     std::uint64_t seed = 0;
     std::uint64_t shard = 0;
-    bool evicted = false;
-    std::uint64_t spill_bytes = 0;
+    /// The session's kEvict record: file offset of its frame and its
+    /// payload length (0 while the session is resident).
+    std::uint64_t offset = 0;
+    std::uint32_t length = 0;
+    bool evicted() const noexcept { return length != 0; }
   };
 
   /// The replayed manifest: every session opened and not yet finished, in
@@ -134,39 +136,52 @@ class SessionTable {
   static const char* file_name() noexcept { return "qols-manifest.journal"; }
   static std::string path_in(const std::string& dir);
 
-  /// Opens (or creates) the journal for appending. A fresh file gets the
-  /// header immediately. Throws std::runtime_error on I/O failure. NOTE:
-  /// opening an existing journal does NOT validate it — call replay() first
-  /// when prior records must be adopted (RecognizerService::recover does).
-  explicit SessionTable(Options opts);
+  /// Opens the durable journal in `dir` for appending; a missing or empty
+  /// file gets the header. `live` is what the existing records describe
+  /// (replay()'s view, as recover() adopts it); a journal that already
+  /// holds records is compacted to it at once, so the handle never appends
+  /// after records it has not accounted for. Throws std::runtime_error on
+  /// I/O failure.
+  explicit SessionTable(std::string dir,
+                        std::map<std::uint64_t, LiveSession> live = {});
+  /// A scratch log in `dir` (created if absent) for a non-durable service.
+  static std::unique_ptr<SessionTable> scratch(const std::string& dir);
   ~SessionTable();
 
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
 
   /// The injected-crash hook. The service calls this at the START of every
-  /// journaled operation — before the spill file write in evict(), before
-  /// the append elsewhere — so abort_after(n) leaves exactly n records and
-  /// a directory whose spill files match them: a consistent crash image.
-  /// No-op unless armed; throws InjectedCrash when the budget runs out and
-  /// marks the table dead (all later writes throw too, the way a crashed
-  /// process stays crashed).
+  /// journaled operation, before the append, so abort_after(n) leaves
+  /// exactly n records: a consistent crash image. No-op unless armed;
+  /// throws InjectedCrash when the budget runs out and marks the table dead
+  /// (all later writes throw too, the way a crashed process stays crashed).
   void crash_point();
 
   // One append per call. Appends do NOT consume the crash budget themselves
   // (the caller's crash_point() already did); a dead table refuses them.
+  // A scratch log only ever sees record_evict and record_revive.
   void record_open(std::uint64_t id, std::uint64_t seed, std::uint64_t shard);
-  void record_evict(std::uint64_t id, std::uint64_t spill_bytes);
+  /// Appends the session's snapshot. Throws std::length_error past
+  /// kMaxRecordPayload (replay would refuse the record).
+  void record_evict(std::uint64_t id, std::span<const std::uint8_t> snapshot);
+  /// Drops the session's snapshot from the index; a durable journal also
+  /// appends kRevive.
   void record_revive(std::uint64_t id);
   void record_finish(std::uint64_t id);
   void record_migrate(std::uint64_t id, std::uint64_t shard);
 
-  /// Forces the journal to disk now.
+  /// The evicted session's snapshot, read with one pread. Throws
+  /// ManifestCorrupt when the record fails its CRC or frame check, and
+  /// std::out_of_range when the session is not evicted here.
+  std::vector<std::uint8_t> read_snapshot(std::uint64_t id) const;
+
+  /// Forces the journal to disk now (no-op for a scratch log).
   void sync();
 
-  /// Atomically rewrites the journal to the minimal equivalent of `live`
-  /// (see the compaction invariant above) and syncs it.
-  void compact(const std::map<std::uint64_t, LiveSession>& live);
+  /// Rewrites the log to the minimal equivalent of the live view (see the
+  /// compaction note above); a durable journal is synced.
+  void compact();
 
   /// Records appended through this handle (compaction resets the file but
   /// not this counter; it counts operations, the matrix coordinate).
@@ -183,13 +198,24 @@ class SessionTable {
   static Replay replay(const std::string& dir);
 
  private:
+  SessionTable(std::string dir, std::string path, bool durable,
+               std::map<std::uint64_t, LiveSession> live);
   void ensure_alive() const;
-  void append(RecordType type, const std::vector<std::uint8_t>& payload);
-  void open_fd();
+  void append(RecordType type, const std::vector<std::uint8_t>& record);
+  /// Appends `s`'s kEvict record (frame + payload), checked, to `out`.
+  void read_record(std::uint64_t id, const LiveSession& s,
+                   std::vector<std::uint8_t>& out) const;
+  /// Bytes a compaction would keep for `s`.
+  std::uint64_t live_size(const LiveSession& s) const noexcept;
+  void maybe_compact();
 
-  Options opts_;
+  std::string dir_;
   std::string path_;
+  bool durable_ = true;
   int fd_ = -1;
+  std::map<std::uint64_t, LiveSession> live_;
+  std::uint64_t size_ = 0;        ///< file bytes, header included
+  std::uint64_t live_bytes_ = 0;  ///< what compaction would keep
   std::uint64_t appended_ = 0;
   std::uint64_t unsynced_ = 0;
   std::uint64_t syncs_ = 0;

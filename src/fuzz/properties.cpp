@@ -583,7 +583,7 @@ void check_crash(const FuzzCase& c,
   // P9: interrupted-recover-resume vs straight-through. A durable service
   // feeds the word to a seeded cut, checkpoints with persist() and dies; a
   // fresh service over the same directory recover()s the session from the
-  // manifest + spill, feeds the rest and finishes. The verdict (and
+  // manifest (its snapshot inline), feeds the rest and finishes. The verdict (and
   // SpaceReport) must be bit-identical to the uninterrupted run — the
   // restart-resume contract of the durable session table, asserted across
   // the whole fuzz corpus instead of just the unit-test scripts.

@@ -147,11 +147,9 @@ bool SessionBroker::handle(const wire::Frame& frame,
         shared_.malformed.add();
         return fail(out, ErrorCode::kMalformedFrame, 0, e.what());
       }
-      if (hello.version < wire::kMinProtocolVersion ||
-          hello.version > wire::kProtocolVersion) {
+      if (hello.version != wire::kProtocolVersion) {
         return fail(out, ErrorCode::kBadVersion, 0,
-                    "server speaks protocol versions " +
-                        std::to_string(wire::kMinProtocolVersion) + ".." +
+                    "server speaks protocol version " +
                         std::to_string(wire::kProtocolVersion));
       }
       const auto kind = static_cast<std::uint8_t>(
@@ -163,11 +161,7 @@ bool SessionBroker::handle(const wire::Frame& frame,
                             shared_.svc.config().spec.kind));
       }
       hello_done_ = true;
-      version_ = hello.version;
       wire::HelloOk ok;
-      // Echo the client's version: the conversation proceeds at the LOWER
-      // of the two, so a v1 client never sees a v2-only frame.
-      ok.version = hello.version;
       ok.kind = kind;
       ok.float_amplitudes = shared_.svc.config().spec.float_amplitudes;
       ok.max_sessions = shared_.opts.max_sessions;
@@ -206,10 +200,6 @@ bool SessionBroker::handle(const wire::Frame& frame,
     }
 
     case FrameType::kResume: {
-      if (version_ < 2) {
-        return fail(out, ErrorCode::kProtocolError, 0,
-                    "RESUME requires protocol version 2");
-      }
       wire::Resume resume;
       try {
         resume = wire::read_resume(frame.payload);

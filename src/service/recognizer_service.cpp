@@ -1,16 +1,9 @@
 #include "qols/service/recognizer_service.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <system_error>
-#include <unordered_set>
 #include <utility>
 
 #include "qols/core/classical_recognizers.hpp"
@@ -23,39 +16,6 @@ namespace {
 
 std::uint64_t to_ns(double seconds) {
   return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9) : 0;
-}
-
-/// Writes a spill file in one shot. Durable services fsync it — the journal
-/// may only claim a spill that would survive power loss, not just process
-/// death (the manifest's write-ordering invariant).
-void write_spill_file(const std::string& path,
-                      const std::vector<std::uint8_t>& bytes, bool sync,
-                      std::uint64_t id) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  bool ok = fd >= 0;
-  if (ok) {
-    std::size_t done = 0;
-    while (done < bytes.size()) {
-      const ssize_t w = ::write(fd, bytes.data() + done, bytes.size() - done);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        ok = false;
-        break;
-      }
-      done += static_cast<std::size_t>(w);
-    }
-    if (ok && sync && ::fsync(fd) != 0) ok = false;
-    ::close(fd);
-  }
-  if (!ok) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    throw std::runtime_error("RecognizerService: cannot spill session " +
-                             std::to_string(id) + " (" +
-                             std::to_string(bytes.size()) + " bytes) to " +
-                             path);
-  }
 }
 
 }  // namespace
@@ -78,10 +38,6 @@ RecognizerService::Instruments::Instruments()
           telemetry::MetricsRegistry::global().counter("service.migrations")),
       recovered_sessions(telemetry::MetricsRegistry::global().counter(
           "service.recovered_sessions")),
-      manifest_records(telemetry::MetricsRegistry::global().counter(
-          "service.manifest_records")),
-      compactions(
-          telemetry::MetricsRegistry::global().counter("service.compactions")),
       flush_ns(
           telemetry::MetricsRegistry::global().histogram("service.flush_ns")),
       finish_ns(
@@ -160,34 +116,23 @@ RecognizerService::RecognizerService(Config config)
           "RecognizerService: cannot create spill directory " +
           config_.spill_dir + ": " + ec.message());
     }
-    spill_dir_ = config_.spill_dir;
     std::error_code sec;
-    const auto manifest_size =
-        std::filesystem::file_size(SessionTable::path_in(spill_dir_), sec);
+    const auto manifest_size = std::filesystem::file_size(
+        SessionTable::path_in(config_.spill_dir), sec);
     if (!sec && manifest_size > 0) {
       // A prior life left a manifest. Nothing is adopted implicitly — the
       // caller must recover() (and see the typed errors) before any session
       // operation; journal() enforces that.
       pending_recovery_ = true;
     } else {
-      table_ = std::make_unique<SessionTable>(
-          SessionTable::Options{spill_dir_, config_.manifest_sync_every});
+      log_ = std::make_unique<SessionTable>(config_.spill_dir);
     }
   }
 }
 
-RecognizerService::~RecognizerService() {
-  // A durable service's spill files and manifest ARE its persistent state —
-  // leave them for the next incarnation to recover().
-  if (config_.durable) return;
-  // Best-effort spill cleanup: remove the spill file of every still-evicted
-  // session, and the directory itself when this service created it.
-  std::error_code ec;
-  for (const auto& [id, session] : sessions_) {
-    if (session.evicted) std::filesystem::remove(spill_path(id), ec);
-  }
-  if (owns_spill_dir_) std::filesystem::remove(spill_dir_, ec);
-}
+// The log's own destructor settles it: a durable manifest stays for the
+// next incarnation to recover(), a scratch log is removed.
+RecognizerService::~RecognizerService() = default;
 
 SessionTable* RecognizerService::journal() {
   if (pending_recovery_) {
@@ -195,7 +140,18 @@ SessionTable* RecognizerService::journal() {
         "RecognizerService: a prior manifest awaits recover() — session "
         "operations would silently shadow the persisted table");
   }
-  return table_.get();
+  return config_.durable ? log_.get() : nullptr;
+}
+
+SessionTable& RecognizerService::spill_log() {
+  if (SessionTable* t = journal()) return *t;
+  if (log_ == nullptr) {
+    log_ = SessionTable::scratch(
+        config_.spill_dir.empty()
+            ? std::filesystem::temp_directory_path().string()
+            : config_.spill_dir);
+  }
+  return *log_;
 }
 
 RecognizerService::Session& RecognizerService::session_or_throw(SessionId id) {
@@ -224,11 +180,9 @@ RecognizerService::SessionId RecognizerService::open_at(SessionId id,
   Session session;
   session.recognizer = config_.spec.make(seed);
   session.shard = id % shards_.size();
-  session.seed = seed;
   if (SessionTable* t = journal()) {
     t->crash_point();
     t->record_open(id, seed, session.shard);
-    telem_.manifest_records.add();
   }
   sessions_.emplace(id, std::move(session));
   cells_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
@@ -334,10 +288,7 @@ RecognizerService::Verdict RecognizerService::finish(SessionId id) {
   verdict.accepted = session.recognizer->finish();
   verdict.fully_simulated = session.recognizer->fully_simulated();
   verdict.space = session.recognizer->space_used();
-  if (t != nullptr) {
-    t->record_finish(id);
-    telem_.manifest_records.add();
-  }
+  if (t != nullptr) t->record_finish(id);
   const std::uint64_t ns = to_ns(watch.seconds());
   cells_.busy_ns.fetch_add(ns, std::memory_order_relaxed);
   cells_.sessions_finished.fetch_add(1, std::memory_order_relaxed);
@@ -353,63 +304,21 @@ std::uint64_t RecognizerService::buffered_symbols() const noexcept {
   return total;
 }
 
-std::string RecognizerService::spill_path(SessionId id) {
-  if (spill_dir_.empty()) {
-    if (!config_.spill_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(config_.spill_dir, ec);
-      if (ec) {
-        throw std::runtime_error(
-            "RecognizerService: cannot create spill directory " +
-            config_.spill_dir + ": " + ec.message());
-      }
-      spill_dir_ = config_.spill_dir;
-    } else {
-      // Unique per service instance: two services in one process (or across
-      // processes) never collide on session ids.
-      auto dir = std::filesystem::temp_directory_path() /
-                 ("qols-spill-" + std::to_string(::getpid()) + "-" +
-                  std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        throw std::runtime_error(
-            "RecognizerService: cannot create spill directory " +
-            dir.string() + ": " + ec.message());
-      }
-      spill_dir_ = dir.string();
-      owns_spill_dir_ = true;
-    }
-  }
-  return (std::filesystem::path(spill_dir_) /
-          ("qols-session-" + std::to_string(id) + ".snap"))
-      .string();
-}
-
 void RecognizerService::evict(SessionId id) {
   Session& session = session_or_throw(id);
   if (session.evicted) return;  // double-evict is a no-op
   // The crash hook fires before ANY side effect — an injected crash must
-  // leave n records and exactly the spill files they claim, never a spill
-  // the journal does not know about.
-  SessionTable* t = journal();
-  if (t != nullptr) t->crash_point();
+  // leave exactly n records.
+  SessionTable& log = spill_log();
+  log.crash_point();
   std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
   // The buffer must reach the recognizer before the state is frozen —
   // snapshotting around unconsumed symbols would replay them out of order.
   if (!session.pending.empty()) drain_locked(id, session);
   const std::vector<std::uint8_t> bytes = session.recognizer->snapshot();
-  const std::string path = spill_path(id);
-  // Spill first (synced in durable mode), journal second: the manifest
-  // never claims a spill that is not on disk.
-  write_spill_file(path, bytes, /*sync=*/config_.durable, id);
-  if (t != nullptr) {
-    t->record_evict(id, bytes.size());
-    telem_.manifest_records.add();
-  }
+  log.record_evict(id, bytes);
   session.recognizer.reset();  // the point of evicting: free the memory
   session.evicted = true;
-  session.spill_bytes = bytes.size();
   cells_.evictions.fetch_add(1, std::memory_order_relaxed);
   cells_.spill_bytes_written.fetch_add(bytes.size(),
                                        std::memory_order_relaxed);
@@ -418,38 +327,16 @@ void RecognizerService::evict(SessionId id) {
 }
 
 void RecognizerService::revive_session(SessionId id, Session& session) {
-  SessionTable* t = journal();
-  if (t != nullptr) t->crash_point();
+  SessionTable& log = spill_log();
+  log.crash_point();
   std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
-  const std::string path = spill_path(id);
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.is_open()) {
-    throw std::runtime_error("RecognizerService: missing spill file " + path);
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in.good()) {
-    throw std::runtime_error("RecognizerService: cannot read spill file " +
-                             path + " (" + std::to_string(bytes.size()) +
-                             " bytes expected)");
-  }
+  const std::vector<std::uint8_t> bytes = log.read_snapshot(id);
   // The restore overwrites every bit of recognizer state, seed included, so
   // the construction seed here is immaterial.
   session.recognizer = config_.spec.make(0);
   session.recognizer->restore(bytes);
-  // Journal before unlinking: a crash in between leaves a spill the journal
-  // no longer claims (OrphanSpill on recovery) — never a claimed spill that
-  // is gone.
-  if (t != nullptr) {
-    t->record_revive(id);
-    telem_.manifest_records.add();
-  }
+  log.record_revive(id);
   session.evicted = false;
-  session.spill_bytes = 0;
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
   cells_.revives.fetch_add(1, std::memory_order_relaxed);
   cells_.spill_bytes_read.fetch_add(bytes.size(), std::memory_order_relaxed);
   telem_.revives.add();
@@ -484,7 +371,6 @@ void RecognizerService::migrate(SessionId id, std::size_t target_shard) {
   if (SessionTable* t = journal()) {
     t->crash_point();
     t->record_migrate(id, target_shard);
-    telem_.manifest_records.add();
   }
   session.shard = target_shard;
   if (was_resident) revive_session(id, session);
@@ -528,20 +414,6 @@ std::size_t RecognizerService::shard_of(SessionId id) {
   return session_or_throw(id).shard;
 }
 
-std::map<RecognizerService::SessionId, SessionTable::LiveSession>
-RecognizerService::live_view() const {
-  std::map<SessionId, SessionTable::LiveSession> live;
-  for (const auto& [id, session] : sessions_) {
-    SessionTable::LiveSession entry;
-    entry.seed = session.seed;
-    entry.shard = session.shard;
-    entry.evicted = session.evicted;
-    entry.spill_bytes = session.spill_bytes;
-    live.emplace(id, entry);
-  }
-  return live;
-}
-
 std::size_t RecognizerService::persist() {
   if (!config_.durable) {
     throw std::logic_error("RecognizerService: persist() requires durable mode");
@@ -557,8 +429,7 @@ std::size_t RecognizerService::persist() {
   std::sort(resident.begin(), resident.end());
   for (const SessionId id : resident) evict(id);
   t->crash_point();
-  t->compact(live_view());
-  telem_.compactions.add();
+  t->compact();
   return sessions_.size();
 }
 
@@ -570,64 +441,31 @@ RecognizerService::RecoveryReport RecognizerService::recover() {
     throw std::logic_error(
         "RecognizerService: recover() on a service with open sessions");
   }
-  SessionTable::Replay replayed = SessionTable::replay(spill_dir_);
-  // Verify every claimed spill before adopting anything: recovery is all or
-  // nothing. A session whose state cannot be restored exactly must fail
-  // loudly here — a fabricated verdict later is the one unforgivable
-  // outcome.
-  std::unordered_set<std::string> claimed;
-  for (const auto& [id, s] : replayed.live) {
-    if (!s.evicted) continue;
-    const std::string path = spill_path(id);
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec) {
-      throw SpillMissing("session " + std::to_string(id) +
-                         ": manifest claims a spill but " + path +
-                         " is absent");
-    }
-    if (size != s.spill_bytes) {
-      throw SpillMissing("session " + std::to_string(id) + ": spill file " +
-                         path + " holds " + std::to_string(size) +
-                         " bytes, manifest recorded " +
-                         std::to_string(s.spill_bytes));
-    }
-    claimed.insert(std::filesystem::path(path).filename().string());
-  }
-  for (const auto& entry : std::filesystem::directory_iterator(spill_dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("qols-session-") && name.ends_with(".snap") &&
-        !claimed.contains(name)) {
-      throw OrphanSpill("unclaimed spill file " + entry.path().string() +
-                        " (a crash between spill write and manifest append, "
-                        "or foreign debris)");
-    }
-  }
+  SessionTable::Replay replayed = SessionTable::replay(config_.spill_dir);
   RecoveryReport report;
   report.records_replayed = replayed.records;
-  for (const auto& [id, s] : replayed.live) {
-    if (!s.evicted) {
+  std::map<SessionId, SessionTable::LiveSession> adopted;
+  for (auto& [id, s] : replayed.live) {
+    if (!s.evicted()) {
       // Resident at the crash: its state lived only in the dead process.
       report.lost.push_back(id);
       continue;
     }
-    Session session;
     // A restart may resize the pool; fold the recorded pin into range.
-    session.shard = s.shard % shards_.size();
+    s.shard %= shards_.size();
+    Session session;
+    session.shard = s.shard;
     session.evicted = true;
-    session.seed = s.seed;
-    session.spill_bytes = s.spill_bytes;
     sessions_.emplace(id, std::move(session));
     if (id >= next_id_) next_id_ = id + 1;
-    ++report.sessions_recovered;
+    adopted.emplace(id, s);
   }
+  report.sessions_recovered = adopted.size();
+  // Opening the journal over the adopted view compacts it at once: lost
+  // sessions drop out, and replaying the recovered journal reproduces
+  // exactly this table.
+  log_ = std::make_unique<SessionTable>(config_.spill_dir, std::move(adopted));
   pending_recovery_ = false;
-  table_ = std::make_unique<SessionTable>(
-      SessionTable::Options{spill_dir_, config_.manifest_sync_every});
-  // Compact to the adopted view: lost sessions drop out of the journal, and
-  // replaying the recovered journal reproduces exactly this table.
-  table_->compact(live_view());
-  telem_.compactions.add();
   cells_.recovered_sessions.fetch_add(report.sessions_recovered,
                                       std::memory_order_relaxed);
   telem_.recovered_sessions.add(report.sessions_recovered);
@@ -636,11 +474,11 @@ RecognizerService::RecoveryReport RecognizerService::recover() {
 }
 
 void RecognizerService::persist_abort_after(std::uint64_t n) noexcept {
-  if (table_ != nullptr) table_->abort_after(n);
+  if (config_.durable && log_ != nullptr) log_->abort_after(n);
 }
 
 std::uint64_t RecognizerService::manifest_records() const noexcept {
-  return table_ != nullptr ? table_->records_appended() : 0;
+  return config_.durable && log_ != nullptr ? log_->records_appended() : 0;
 }
 
 RecognizerService::Stats RecognizerService::stats() const noexcept {

@@ -4,13 +4,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <span>
+#include <initializer_list>
 #include <utility>
 
+#include "qols/core/grover_streamer.hpp"
+#include "qols/telemetry/registry.hpp"
 #include "qols/util/crc32.hpp"
 #include "qols/util/serde.hpp"
 
@@ -18,12 +21,13 @@ namespace qols::service {
 
 namespace {
 
-constexpr std::uint8_t kMagic[8] = {'Q', 'O', 'L', 'S', 'M', 'A', 'N', 1};
+constexpr std::uint8_t kMagic[8] = {'Q', 'O', 'L', 'S', 'M', 'A', 'N', 2};
 constexpr std::size_t kHeaderSize = sizeof(kMagic);
 constexpr std::size_t kRecordFrame = 8;  // u32 len + u32 crc
-// Largest payload any record type can produce is 1 + 3*8 bytes; anything
-// past this bound is file damage masquerading as a length, not a record.
-constexpr std::uint32_t kMaxRecordPayload = 64;
+constexpr std::size_t kEvictPrefix = 9;  // u8 type + u64 id
+constexpr std::uint64_t kOpenRecord = kRecordFrame + 25;
+/// Compaction writes in pieces of about this size.
+constexpr std::size_t kCopyChunk = std::size_t{1} << 20;
 
 [[noreturn]] void throw_io(const std::string& what, const std::string& path) {
   throw std::runtime_error("SessionTable: " + what + " " + path + ": " +
@@ -56,50 +60,41 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 }
 
-std::vector<std::uint8_t> frame_record(
-    const std::vector<std::uint8_t>& payload) {
-  util::serde::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(util::crc32(payload));
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+void store_u32(std::uint8_t* at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-std::vector<std::uint8_t> payload_open(std::uint64_t id, std::uint64_t seed,
-                                       std::uint64_t shard) {
+/// One framed record: the type byte, the id, `fields`, then `tail` (a
+/// kEvict's snapshot bytes).
+std::vector<std::uint8_t> make_record(
+    SessionTable::RecordType type, std::uint64_t id,
+    std::initializer_list<std::uint64_t> fields = {},
+    std::span<const std::uint8_t> tail = {}) {
   util::serde::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(SessionTable::RecordType::kOpen));
-  w.u64(id);
-  w.u64(seed);
-  w.u64(shard);
-  return w.take();
-}
-
-std::vector<std::uint8_t> payload_evict(std::uint64_t id,
-                                        std::uint64_t spill_bytes) {
-  util::serde::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(SessionTable::RecordType::kEvict));
-  w.u64(id);
-  w.u64(spill_bytes);
-  return w.take();
-}
-
-std::vector<std::uint8_t> payload_id_only(SessionTable::RecordType type,
-                                          std::uint64_t id) {
-  util::serde::ByteWriter w;
+  w.u32(0);  // the frame, filled in below
+  w.u32(0);
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(id);
-  return w.take();
+  for (const std::uint64_t f : fields) w.u64(f);
+  std::vector<std::uint8_t> rec = w.take();
+  rec.insert(rec.end(), tail.begin(), tail.end());
+  const std::span<const std::uint8_t> payload(rec.data() + kRecordFrame,
+                                              rec.size() - kRecordFrame);
+  store_u32(rec.data(), static_cast<std::uint32_t>(payload.size()));
+  store_u32(rec.data() + 4, util::crc32(payload));
+  return rec;
 }
 
-std::vector<std::uint8_t> payload_migrate(std::uint64_t id,
-                                          std::uint64_t shard) {
-  util::serde::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(SessionTable::RecordType::kMigrate));
-  w.u64(id);
-  w.u64(shard);
-  return w.take();
+telemetry::Counter& records_counter() {
+  static telemetry::Counter& c =
+      telemetry::MetricsRegistry::global().counter("service.manifest_records");
+  return c;
+}
+
+telemetry::Counter& compactions_counter() {
+  static telemetry::Counter& c =
+      telemetry::MetricsRegistry::global().counter("service.compactions");
+  return c;
 }
 
 [[noreturn]] void corrupt(std::uint64_t record, const std::string& why) {
@@ -107,72 +102,66 @@ std::vector<std::uint8_t> payload_migrate(std::uint64_t id,
                         why);
 }
 
-/// Applies one decoded record to the replay state, enforcing the lifecycle
-/// state machine — a record that contradicts the state is file damage the
-/// CRC happened not to catch, and recovery must refuse it.
+/// Applies one decoded record, found at file offset `pos`, to the replay
+/// state, enforcing the lifecycle state machine — a record that contradicts
+/// the state is file damage the CRC happened not to catch, and recovery
+/// must refuse it.
 void apply_record(SessionTable::Replay& state,
-                  std::span<const std::uint8_t> payload,
-                  std::uint64_t record) {
+                  std::span<const std::uint8_t> payload, std::uint64_t record,
+                  std::uint64_t pos) {
   util::serde::ByteReader r(payload);
   const auto type = static_cast<SessionTable::RecordType>(r.u8());
+  const std::uint64_t id = r.u64();
+  const auto it = state.live.find(id);
+  const auto live = [&](const char* op) -> SessionTable::LiveSession& {
+    if (it == state.live.end()) {
+      corrupt(record, std::string(op) + " of unknown session " +
+                          std::to_string(id));
+    }
+    return it->second;
+  };
   switch (type) {
     case SessionTable::RecordType::kOpen: {
-      const std::uint64_t id = r.u64();
       SessionTable::LiveSession s;
       s.seed = r.u64();
       s.shard = r.u64();
       r.expect_exhausted();
-      if (!state.live.emplace(id, s).second) {
+      if (it != state.live.end()) {
         corrupt(record, "open of already-open session " + std::to_string(id));
       }
+      state.live.emplace(id, s);
       return;
     }
     case SessionTable::RecordType::kEvict: {
-      const std::uint64_t id = r.u64();
-      const std::uint64_t bytes = r.u64();
-      r.expect_exhausted();
-      const auto it = state.live.find(id);
-      if (it == state.live.end()) {
-        corrupt(record, "evict of unknown session " + std::to_string(id));
-      }
-      if (it->second.evicted) {
+      // The rest of the payload is the snapshot, checked by its codec on
+      // revive.
+      SessionTable::LiveSession& s = live("evict");
+      if (s.evicted()) {
         corrupt(record, "evict of evicted session " + std::to_string(id));
       }
-      it->second.evicted = true;
-      it->second.spill_bytes = bytes;
+      s.offset = pos;
+      s.length = static_cast<std::uint32_t>(payload.size());
       return;
     }
     case SessionTable::RecordType::kRevive: {
-      const std::uint64_t id = r.u64();
       r.expect_exhausted();
-      const auto it = state.live.find(id);
-      if (it == state.live.end()) {
-        corrupt(record, "revive of unknown session " + std::to_string(id));
-      }
-      if (!it->second.evicted) {
+      SessionTable::LiveSession& s = live("revive");
+      if (!s.evicted()) {
         corrupt(record, "revive of resident session " + std::to_string(id));
       }
-      it->second.evicted = false;
-      it->second.spill_bytes = 0;
+      s.length = 0;
       return;
     }
     case SessionTable::RecordType::kFinish: {
-      const std::uint64_t id = r.u64();
       r.expect_exhausted();
-      if (state.live.erase(id) == 0) {
-        corrupt(record, "finish of unknown session " + std::to_string(id));
-      }
+      live("finish");
+      state.live.erase(it);
       return;
     }
     case SessionTable::RecordType::kMigrate: {
-      const std::uint64_t id = r.u64();
       const std::uint64_t shard = r.u64();
       r.expect_exhausted();
-      const auto it = state.live.find(id);
-      if (it == state.live.end()) {
-        corrupt(record, "migrate of unknown session " + std::to_string(id));
-      }
-      it->second.shard = shard;
+      live("migrate").shard = shard;
       return;
     }
   }
@@ -180,35 +169,81 @@ void apply_record(SessionTable::Replay& state,
                       std::to_string(static_cast<unsigned>(payload[0])));
 }
 
+void read_exact(std::ifstream& in, std::uint8_t* out, std::size_t n,
+                const std::string& path) {
+  in.read(reinterpret_cast<char*>(out), static_cast<std::streamsize>(n));
+  if (!in) throw std::runtime_error("SessionTable: cannot read " + path);
+}
+
 }  // namespace
+
+const std::uint32_t SessionTable::kMaxRecordPayload =
+    static_cast<std::uint32_t>(kEvictPrefix + core::kMaxSnapshotBytes);
 
 std::string SessionTable::path_in(const std::string& dir) {
   return (std::filesystem::path(dir) / file_name()).string();
 }
 
-SessionTable::SessionTable(Options opts)
-    : opts_(std::move(opts)), path_(path_in(opts_.dir)) {
-  open_fd();
+SessionTable::SessionTable(std::string dir,
+                           std::map<std::uint64_t, LiveSession> live)
+    : SessionTable(dir, path_in(dir), /*durable=*/true, std::move(live)) {}
+
+std::unique_ptr<SessionTable> SessionTable::scratch(const std::string& dir) {
+  std::filesystem::create_directories(dir);
+  static std::atomic<std::uint64_t> next{0};
+  for (;;) {
+    const std::string path =
+        (std::filesystem::path(dir) /
+         ("qols-spill-" + std::to_string(::getpid()) + "-" +
+          std::to_string(next.fetch_add(1)) + ".log"))
+            .string();
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                          0600);
+    if (fd >= 0) {
+      ::close(fd);
+      return std::unique_ptr<SessionTable>(
+          new SessionTable(dir, path, /*durable=*/false, {}));
+    }
+    if (errno != EEXIST) throw_io("cannot create", path);
+  }
 }
 
-void SessionTable::open_fd() {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-               0644);
+SessionTable::SessionTable(std::string dir, std::string path, bool durable,
+                           std::map<std::uint64_t, LiveSession> live)
+    : dir_(std::move(dir)),
+      path_(std::move(path)),
+      durable_(durable),
+      live_(std::move(live)) {
+  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) throw_io("cannot open", path_);
   struct ::stat st{};
-  if (::fstat(fd_, &st) != 0) throw_io("cannot stat", path_);
-  if (st.st_size == 0) {
-    write_all(fd_, kMagic, sizeof(kMagic), path_);
-    fsync_or_throw(fd_, path_);
-    fsync_dir(opts_.dir);
+  if (::fstat(fd_, &st) != 0) {
+    ::close(fd_);
+    throw_io("cannot stat", path_);
+  }
+  size_ = static_cast<std::uint64_t>(st.st_size);
+  live_bytes_ = kHeaderSize;
+  for (const auto& [id, s] : live_) live_bytes_ += live_size(s);
+  try {
+    if (size_ == 0) {
+      write_all(fd_, kMagic, kHeaderSize, path_);
+      size_ = kHeaderSize;
+      if (durable_) {
+        fsync_or_throw(fd_, path_);
+        fsync_dir(dir_);
+      }
+    }
+    if (size_ != kHeaderSize) compact();
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
 }
 
 SessionTable::~SessionTable() {
-  if (fd_ >= 0) {
-    ::fsync(fd_);  // best effort — the dtor cannot throw
-    ::close(fd_);
-  }
+  if (durable_) ::fsync(fd_);  // best effort — the dtor cannot throw
+  ::close(fd_);
+  if (!durable_) ::unlink(path_.c_str());
 }
 
 void SessionTable::crash_point() {
@@ -233,40 +268,128 @@ void SessionTable::abort_after(std::uint64_t n) noexcept {
   remaining_ = n;
 }
 
+std::uint64_t SessionTable::live_size(const LiveSession& s) const noexcept {
+  return (durable_ ? kOpenRecord : 0) +
+         (s.evicted() ? kRecordFrame + s.length : 0);
+}
+
 void SessionTable::append(RecordType type,
-                          const std::vector<std::uint8_t>& payload) {
+                          const std::vector<std::uint8_t>& record) {
   ensure_alive();
-  const std::vector<std::uint8_t> framed = frame_record(payload);
-  write_all(fd_, framed.data(), framed.size(), path_);
+  write_all(fd_, record.data(), record.size(), path_);
+  size_ += record.size();
   ++appended_;
-  ++unsynced_;
-  const bool force = type == RecordType::kEvict;
-  if (force || unsynced_ >= opts_.sync_every) {
+  if (!durable_) return;
+  records_counter().add();
+  if (type == RecordType::kEvict || ++unsynced_ >= kSyncEvery) {
     fsync_or_throw(fd_, path_);
     unsynced_ = 0;
     ++syncs_;
   }
 }
 
-void SessionTable::record_open(std::uint64_t id, std::uint64_t seed,
-                               std::uint64_t shard) {
-  append(RecordType::kOpen, payload_open(id, seed, shard));
+void SessionTable::maybe_compact() {
+  const std::uint64_t dead = size_ - live_bytes_;
+  if (dead > kCompactFloor && dead > kCompactRatio * live_bytes_) compact();
 }
 
-void SessionTable::record_evict(std::uint64_t id, std::uint64_t spill_bytes) {
-  append(RecordType::kEvict, payload_evict(id, spill_bytes));
+void SessionTable::record_open(std::uint64_t id, std::uint64_t seed,
+                               std::uint64_t shard) {
+  append(RecordType::kOpen, make_record(RecordType::kOpen, id, {seed, shard}));
+  live_[id] = LiveSession{seed, shard};
+  live_bytes_ += kOpenRecord;
+}
+
+void SessionTable::record_evict(std::uint64_t id,
+                                std::span<const std::uint8_t> snapshot) {
+  if (snapshot.size() > kMaxRecordPayload - kEvictPrefix) {
+    throw std::length_error("SessionTable: a " +
+                            std::to_string(snapshot.size()) +
+                            "-byte snapshot exceeds the record limit");
+  }
+  const std::uint64_t at = size_;
+  const std::vector<std::uint8_t> record =
+      make_record(RecordType::kEvict, id, {}, snapshot);
+  append(RecordType::kEvict, record);
+  LiveSession& s = live_[id];
+  s.offset = at;
+  s.length = static_cast<std::uint32_t>(record.size() - kRecordFrame);
+  live_bytes_ += record.size();
 }
 
 void SessionTable::record_revive(std::uint64_t id) {
-  append(RecordType::kRevive, payload_id_only(RecordType::kRevive, id));
+  const auto it = live_.find(id);
+  if (it == live_.end() || !it->second.evicted()) {
+    throw std::out_of_range("SessionTable: session " + std::to_string(id) +
+                            " is not evicted");
+  }
+  if (durable_) {
+    append(RecordType::kRevive, make_record(RecordType::kRevive, id));
+  }
+  live_bytes_ -= kRecordFrame + it->second.length;
+  if (durable_) {
+    it->second.length = 0;
+  } else {
+    live_.erase(it);
+  }
+  maybe_compact();
 }
 
 void SessionTable::record_finish(std::uint64_t id) {
-  append(RecordType::kFinish, payload_id_only(RecordType::kFinish, id));
+  append(RecordType::kFinish, make_record(RecordType::kFinish, id));
+  const auto it = live_.find(id);
+  if (it != live_.end()) {
+    live_bytes_ -= live_size(it->second);
+    live_.erase(it);
+  }
+  maybe_compact();
 }
 
 void SessionTable::record_migrate(std::uint64_t id, std::uint64_t shard) {
-  append(RecordType::kMigrate, payload_migrate(id, shard));
+  append(RecordType::kMigrate,
+         make_record(RecordType::kMigrate, id, {shard}));
+  live_[id].shard = shard;
+  maybe_compact();
+}
+
+void SessionTable::read_record(std::uint64_t id, const LiveSession& s,
+                               std::vector<std::uint8_t>& out) const {
+  const std::size_t at = out.size();
+  const std::size_t n = kRecordFrame + s.length;
+  out.resize(at + n);
+  // A regular file reads short only at its end: a record cut off there
+  // fails the check like any other damage.
+  const ssize_t got =
+      ::pread(fd_, out.data() + at, n, static_cast<off_t>(s.offset));
+  if (got < 0) throw_io("cannot read", path_);
+  const std::span<const std::uint8_t> rec(out.data() + at, n);
+  bool ok = static_cast<std::size_t>(got) == n;
+  if (ok) {
+    util::serde::ByteReader r(rec);
+    const std::uint32_t len = r.u32();
+    const std::uint32_t crc = r.u32();
+    ok = len == s.length && util::crc32(rec.subspan(kRecordFrame)) == crc &&
+         r.u8() == static_cast<std::uint8_t>(RecordType::kEvict) &&
+         r.u64() == id;
+  }
+  if (!ok) {
+    throw ManifestCorrupt("session " + std::to_string(id) +
+                          ": snapshot record at byte " +
+                          std::to_string(s.offset) + " of " + path_ +
+                          " fails its check");
+  }
+}
+
+std::vector<std::uint8_t> SessionTable::read_snapshot(std::uint64_t id) const {
+  const auto it = live_.find(id);
+  if (it == live_.end() || !it->second.evicted()) {
+    throw std::out_of_range("SessionTable: session " + std::to_string(id) +
+                            " is not evicted");
+  }
+  std::vector<std::uint8_t> bytes;
+  read_record(id, it->second, bytes);
+  bytes.erase(bytes.begin(), bytes.begin() + kRecordFrame + kEvictPrefix);
+  return bytes;
 }
 
 void SessionTable::sync() {
@@ -277,37 +400,53 @@ void SessionTable::sync() {
   ++syncs_;
 }
 
-void SessionTable::compact(const std::map<std::uint64_t, LiveSession>& live) {
+void SessionTable::compact() {
   ensure_alive();
   const std::string tmp = path_ + ".tmp";
-  {
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) throw_io("cannot open", tmp);
-    write_all(fd, kMagic, sizeof(kMagic), tmp);
-    for (const auto& [id, s] : live) {
-      const auto open_rec = frame_record(payload_open(id, s.seed, s.shard));
-      write_all(fd, open_rec.data(), open_rec.size(), tmp);
-      if (s.evicted) {
-        const auto evict_rec = frame_record(payload_evict(id, s.spill_bytes));
-        write_all(fd, evict_rec.data(), evict_rec.size(), tmp);
+  const int fd = ::open(
+      tmp.c_str(), O_RDWR | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw_io("cannot open", tmp);
+  std::map<std::uint64_t, LiveSession> next = live_;
+  std::vector<std::uint8_t> buf(kMagic, kMagic + kHeaderSize);
+  std::uint64_t written = 0;
+  const auto flush = [&] {
+    write_all(fd, buf.data(), buf.size(), tmp);
+    written += buf.size();
+    buf.clear();
+  };
+  try {
+    for (auto& [id, s] : next) {
+      if (durable_) {
+        const auto open = make_record(RecordType::kOpen, id, {s.seed, s.shard});
+        buf.insert(buf.end(), open.begin(), open.end());
       }
+      if (s.evicted()) {
+        const std::uint64_t at = written + buf.size();
+        read_record(id, s, buf);
+        s.offset = at;
+      }
+      if (buf.size() >= kCopyChunk) flush();
     }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      throw_io("cannot fsync", tmp);
+    flush();
+    if (durable_) fsync_or_throw(fd, tmp);
+    // The rename is the commit point: either the old log or the compacted
+    // one is fully in place, never a mixture.
+    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+      throw_io("cannot rename", tmp);
     }
+  } catch (...) {
     ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
   }
-  // The rename is the commit point: either the old journal or the compacted
-  // one is fully in place, never a mixture.
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) throw_io("cannot rename", tmp);
-  fsync_dir(opts_.dir);
+  if (durable_) fsync_dir(dir_);
   ::close(fd_);
-  fd_ = -1;
-  open_fd();
+  fd_ = fd;
+  live_ = std::move(next);
+  size_ = live_bytes_ = written;
   unsynced_ = 0;
   ++compactions_;
+  compactions_counter().add();
 }
 
 SessionTable::Replay SessionTable::replay(const std::string& dir) {
@@ -316,37 +455,38 @@ SessionTable::Replay SessionTable::replay(const std::string& dir) {
   if (!in.is_open()) {
     throw ManifestMissing("no session manifest at " + path);
   }
-  const auto size = static_cast<std::size_t>(in.tellg());
+  const auto size = static_cast<std::uint64_t>(in.tellg());
   if (size == 0) {
     // A crash before the header became durable: indistinguishable from a
     // never-written manifest, and treated the same way.
     throw ManifestMissing("empty session manifest at " + path);
   }
-  std::vector<std::uint8_t> bytes(size);
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(size));
-  if (!in.good()) {
-    throw std::runtime_error("SessionTable: cannot read " + path);
-  }
   if (size < kHeaderSize) {
     throw ManifestTorn("manifest header torn at " + std::to_string(size) +
                        " bytes: " + path);
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  in.seekg(0);
+  std::uint8_t header[kHeaderSize];
+  read_exact(in, header, kHeaderSize, path);
+  if (std::memcmp(header, kMagic, kHeaderSize) != 0) {
     throw ManifestCorrupt("bad manifest magic/version: " + path);
   }
 
+  // Record by record: only the current payload is ever in memory, and a
+  // damaged length is refused before anything is allocated for it.
   Replay state;
-  std::size_t pos = kHeaderSize;
+  std::vector<std::uint8_t> payload;
+  std::uint64_t pos = kHeaderSize;
   while (pos < size) {
     if (size - pos < kRecordFrame) {
       throw ManifestTorn("record " + std::to_string(state.records) +
                          " frame torn at byte " + std::to_string(pos));
     }
-    util::serde::ByteReader frame({bytes.data() + pos, kRecordFrame});
-    const std::uint32_t len = frame.u32();
-    const std::uint32_t crc = frame.u32();
+    std::uint8_t frame[kRecordFrame];
+    read_exact(in, frame, kRecordFrame, path);
+    util::serde::ByteReader fr({frame, kRecordFrame});
+    const std::uint32_t len = fr.u32();
+    const std::uint32_t crc = fr.u32();
     if (len == 0 || len > kMaxRecordPayload) {
       corrupt(state.records,
               "implausible payload length " + std::to_string(len));
@@ -355,13 +495,13 @@ SessionTable::Replay SessionTable::replay(const std::string& dir) {
       throw ManifestTorn("record " + std::to_string(state.records) +
                          " payload torn at byte " + std::to_string(pos));
     }
-    const std::span<const std::uint8_t> payload{
-        bytes.data() + pos + kRecordFrame, len};
+    payload.resize(len);
+    read_exact(in, payload.data(), len, path);
     if (util::crc32(payload) != crc) {
       corrupt(state.records, "CRC mismatch");
     }
     try {
-      apply_record(state, payload, state.records);
+      apply_record(state, payload, state.records, pos);
     } catch (const util::serde::DecodeError& e) {
       corrupt(state.records, e.what());
     }

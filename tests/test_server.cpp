@@ -414,11 +414,16 @@ TEST(SessionBroker, RejectsFramesBeforeHello) {
 }
 
 TEST(SessionBroker, RejectsWrongProtocolVersion) {
-  BrokerFixture fx;
-  std::vector<std::uint8_t> bytes;
-  wire::append_hello(bytes, {wire::kProtocolVersion + 1, wire::kAnyKind});
-  EXPECT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kClose);
-  expect_error(fx, wire::ErrorCode::kBadVersion);
+  // The protocol is pinned: an older client (v1, which lacked RESUME) is
+  // refused exactly like a newer one.
+  for (const std::uint32_t version : {1u, wire::kProtocolVersion + 1}) {
+    BrokerFixture fx;
+    std::vector<std::uint8_t> bytes;
+    wire::append_hello(bytes, {version, wire::kAnyKind});
+    EXPECT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kClose)
+        << version;
+    expect_error(fx, wire::ErrorCode::kBadVersion);
+  }
 }
 
 TEST(SessionBroker, RejectsKindMismatch) {
@@ -615,22 +620,21 @@ TEST(SessionBroker, OutputBudgetParksFramesForTheNextPump) {
 // Loopback end-to-end against a live Server.
 
 // ---------------------------------------------------------------------------
-// RESUME (wire v2): adopting sessions a dropped connection left behind.
+// RESUME: adopting sessions a dropped connection left behind.
 
 TEST(SessionBroker, HelloEchoesClientVersionAndV1StillServes) {
+  // The protocol is pinned to v2: HELLO_OK echoes it, and the lifecycle
+  // frames v1 defined (OPEN, FINISH) serve unchanged on it.
   BrokerFixture fx;
   std::vector<std::uint8_t> bytes;
-  wire::append_hello(bytes, {1, wire::kAnyKind});  // a v1 client
+  wire::append_hello(bytes, {wire::kProtocolVersion, wire::kAnyKind});
   ASSERT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
   auto frames = fx.drain_responses();
   ASSERT_EQ(frames.size(), 1u);
   ASSERT_EQ(frames[0].first, wire::FrameType::kHelloOk);
-  // The server echoes the CLIENT's version: the conversation proceeds at
-  // the lower of the two, and the client needs no version table.
-  EXPECT_EQ(wire::read_hello_ok(frames[0].second).version, 1u);
-  EXPECT_EQ(fx.broker.negotiated_version(), 1u);
+  EXPECT_EQ(wire::read_hello_ok(frames[0].second).version,
+            wire::kProtocolVersion);
 
-  // The v1 lifecycle is untouched.
   bytes.clear();
   wire::append_open(bytes, {1, 3});
   wire::append_finish(bytes, {1});
@@ -639,18 +643,35 @@ TEST(SessionBroker, HelloEchoesClientVersionAndV1StillServes) {
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].first, wire::FrameType::kOpenOk);
   EXPECT_EQ(frames[1].first, wire::FrameType::kVerdict);
+
+  // A v1 HELLO itself is no longer served.
+  BrokerFixture v1;
+  bytes.clear();
+  wire::append_hello(bytes, {1, wire::kAnyKind});
+  EXPECT_EQ(v1.feed_bytes(bytes), SessionBroker::PumpResult::kClose);
+  expect_error(v1, wire::ErrorCode::kBadVersion);
 }
 
 TEST(SessionBroker, ResumeRequiresNegotiatedV2) {
-  BrokerFixture fx;
+  // A v1 client never reaches RESUME: its HELLO closes the connection, and
+  // the RESUME pipelined behind it is not answered.
+  BrokerFixture v1;
   std::vector<std::uint8_t> bytes;
   wire::append_hello(bytes, {1, wire::kAnyKind});
-  ASSERT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
-  fx.drain_responses();
+  wire::append_resume(bytes, {1});
+  EXPECT_EQ(v1.feed_bytes(bytes), SessionBroker::PumpResult::kClose);
+  expect_error(v1, wire::ErrorCode::kBadVersion);
+  EXPECT_TRUE(v1.broker.closed());
+
+  // After a v2 HELLO the same RESUME is legal: an unknown id is a
+  // recoverable error, not a protocol error.
+  BrokerFixture v2;
+  v2.do_hello();
   bytes.clear();
   wire::append_resume(bytes, {1});
-  EXPECT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kClose);
-  expect_error(fx, wire::ErrorCode::kProtocolError);
+  EXPECT_EQ(v2.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
+  expect_error(v2, wire::ErrorCode::kUnknownSession);
+  EXPECT_FALSE(v2.broker.closed());
 }
 
 TEST(SessionBroker, ResumeUnknownSessionIsRecoverable) {

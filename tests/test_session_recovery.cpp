@@ -12,7 +12,8 @@
 // run bit for bit.
 //
 // Around the matrix: the typed-error taxonomy (torn/corrupt/missing
-// manifests, orphan and missing spills) and the compaction invariant.
+// manifests, torn and damaged snapshot records), the compaction invariant,
+// and the log's bounded growth under evict/revive churn.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -31,7 +32,9 @@
 #include "qols/service/recognizer_service.hpp"
 #include "qols/service/session_table.hpp"
 #include "qols/stream/symbol_stream.hpp"
+#include "qols/util/crc32.hpp"
 #include "qols/util/rng.hpp"
+#include "qols/util/serde.hpp"
 #include "qols/util/thread_pool.hpp"
 
 namespace {
@@ -43,12 +46,13 @@ using qols::service::InjectedCrash;
 using qols::service::ManifestCorrupt;
 using qols::service::ManifestMissing;
 using qols::service::ManifestTorn;
-using qols::service::OrphanSpill;
 using qols::service::RecognizerKind;
 using qols::service::RecognizerService;
+using qols::service::RecognizerSpec;
 using qols::service::SessionTable;
-using qols::service::SpillMissing;
 using qols::stream::Symbol;
+
+using Bytes = std::vector<std::uint8_t>;
 
 fs::path unique_dir(const std::string& tag) {
   static int counter = 0;
@@ -324,7 +328,7 @@ TEST(SessionRecovery, KillPointMatrixRecoversExactVerdicts) {
       svc.persist_abort_after(n);
       completed = run_script(svc, ops, slot_words, slot_seeds, verdicts);
       ASSERT_EQ(completed, !sim.crashed) << "crash budget " << n;
-    }  // durable dtor leaves the manifest and spills in place
+    }  // durable dtor leaves the manifest in place
 
     // Verdicts the script collected before the crash are final — they must
     // already match the uninterrupted run.
@@ -361,7 +365,7 @@ TEST(SessionRecovery, KillPointMatrixRecoversExactVerdicts) {
     for (const auto id : want_recovered) {
       const auto it = replayed.live.find(id);
       ASSERT_NE(it, replayed.live.end()) << "budget " << n;
-      EXPECT_TRUE(it->second.evicted);
+      EXPECT_TRUE(it->second.evicted());
       EXPECT_EQ(it->second.seed, slot_seeds[id - 1]);
       EXPECT_EQ(it->second.shard, sim.slots[id - 1].shard);
     }
@@ -427,12 +431,44 @@ TEST(SessionTableErrors, BadMagicIsCorrupt) {
   fs::remove_all(dir);
 }
 
+/// Appends one framed record with a raw payload — records the table itself
+/// refuses to write.
+void append_raw_record(const fs::path& dir, const Bytes& payload) {
+  qols::util::serde::ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u32(qols::util::crc32(payload));
+  Bytes rec = w.take();
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  std::ofstream out(SessionTable::path_in(dir.string()),
+                    std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(rec.data()),
+            static_cast<std::streamsize>(rec.size()));
+}
+
+Bytes id_payload(SessionTable::RecordType type, std::uint64_t id) {
+  qols::util::serde::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(id);
+  return w.take();
+}
+
+/// XORs one byte of `path` at `offset`.
+void flip_byte(const fs::path& path, std::uint64_t offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  char b = 0;
+  f.seekg(static_cast<std::streamoff>(offset));
+  f.read(&b, 1);
+  b = static_cast<char>(b ^ 0x40);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&b, 1);
+}
+
 TEST(SessionTableErrors, TornFinalRecord) {
   const auto dir = unique_dir("torn");
   {
-    SessionTable table({dir.string(), 0});
+    SessionTable table(dir.string());
     table.record_open(1, 7, 1);
-    table.record_evict(1, 99);
+    table.record_evict(1, Bytes(99, 0x5a));
   }
   const auto path = SessionTable::path_in(dir.string());
   const auto size = fs::file_size(path);
@@ -444,41 +480,57 @@ TEST(SessionTableErrors, TornFinalRecord) {
 TEST(SessionTableErrors, CrcFlipIsCorrupt) {
   const auto dir = unique_dir("crcflip");
   {
-    SessionTable table({dir.string(), 0});
+    SessionTable table(dir.string());
     table.record_open(1, 7, 1);
   }
   const auto path = SessionTable::path_in(dir.string());
   // Flip one byte inside the record payload (past header + 8-byte frame).
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekg(0, std::ios::end);
-  const auto size = static_cast<std::size_t>(f.tellg());
-  ASSERT_GT(size, 17u);
-  f.seekp(17);
-  char b = 0;
-  f.seekg(17);
-  f.read(&b, 1);
-  b = static_cast<char>(b ^ 0x40);
-  f.seekp(17);
-  f.write(&b, 1);
-  f.close();
+  ASSERT_GT(fs::file_size(path), 17u);
+  flip_byte(path, 17);
   EXPECT_THROW(SessionTable::replay(dir.string()), ManifestCorrupt);
   fs::remove_all(dir);
+}
+
+TEST(SessionTableErrors, HugeLengthFieldIsRefusedBeforeAllocating) {
+  // A damaged length near 2^32 must be refused as damage, not honored with
+  // a 4 GiB allocation; one within the record limit but past the end of the
+  // file is a torn record, also refused before the payload is allocated.
+  for (const std::uint32_t len :
+       {std::uint32_t{0xffff'fffe}, SessionTable::kMaxRecordPayload}) {
+    const auto dir = unique_dir("hugelen");
+    { SessionTable table(dir.string()); }
+    {
+      qols::util::serde::ByteWriter w;
+      w.u32(len);
+      w.u32(0);
+      w.u8(static_cast<std::uint8_t>(SessionTable::RecordType::kOpen));
+      const Bytes frame = w.take();
+      std::ofstream out(SessionTable::path_in(dir.string()),
+                        std::ios::binary | std::ios::app);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+    }
+    if (len > SessionTable::kMaxRecordPayload) {
+      EXPECT_THROW(SessionTable::replay(dir.string()), ManifestCorrupt);
+    } else {
+      EXPECT_THROW(SessionTable::replay(dir.string()), ManifestTorn);
+    }
+    fs::remove_all(dir);
+  }
 }
 
 TEST(SessionTableErrors, StateMachineViolationsAreCorrupt) {
   {  // revive of a session never opened
     const auto dir = unique_dir("sm-revive");
-    {
-      SessionTable table({dir.string(), 0});
-      table.record_revive(9);
-    }
+    { SessionTable table(dir.string()); }
+    append_raw_record(dir, id_payload(SessionTable::RecordType::kRevive, 9));
     EXPECT_THROW(SessionTable::replay(dir.string()), ManifestCorrupt);
     fs::remove_all(dir);
   }
   {  // open of an id that is already live
     const auto dir = unique_dir("sm-reopen");
     {
-      SessionTable table({dir.string(), 0});
+      SessionTable table(dir.string());
       table.record_open(3, 1, 0);
       table.record_open(3, 2, 0);
     }
@@ -488,8 +540,8 @@ TEST(SessionTableErrors, StateMachineViolationsAreCorrupt) {
   {  // evict of an unknown id
     const auto dir = unique_dir("sm-evict");
     {
-      SessionTable table({dir.string(), 0});
-      table.record_evict(5, 10);
+      SessionTable table(dir.string());
+      table.record_evict(5, Bytes(10, 1));
     }
     EXPECT_THROW(SessionTable::replay(dir.string()), ManifestCorrupt);
     fs::remove_all(dir);
@@ -498,48 +550,57 @@ TEST(SessionTableErrors, StateMachineViolationsAreCorrupt) {
 
 TEST(SessionTable, ReplayRoundTripsEveryRecordType) {
   const auto dir = unique_dir("roundtrip");
+  const Bytes snap1(100, 0x11);
+  const Bytes snap2(200, 0x22);
   {
-    SessionTable table({dir.string(), 0});
+    SessionTable table(dir.string());
     table.record_open(1, 11, 1);
     table.record_open(2, 12, 2);
     table.record_open(3, 13, 3);
-    table.record_evict(1, 100);
+    table.record_evict(1, snap1);
+    EXPECT_EQ(table.read_snapshot(1), snap1);
     table.record_revive(1);
-    table.record_evict(2, 200);
+    table.record_evict(2, snap2);
     table.record_migrate(2, 0);
     table.record_finish(3);
     EXPECT_EQ(table.records_appended(), 8u);
+    EXPECT_THROW((void)table.read_snapshot(1), std::out_of_range);
   }
   const auto r = SessionTable::replay(dir.string());
   EXPECT_EQ(r.records, 8u);
   ASSERT_EQ(r.live.size(), 2u);  // 3 finished
-  EXPECT_FALSE(r.live.at(1).evicted);
+  EXPECT_FALSE(r.live.at(1).evicted());
   EXPECT_EQ(r.live.at(1).seed, 11u);
   EXPECT_EQ(r.live.at(1).shard, 1u);
-  EXPECT_TRUE(r.live.at(2).evicted);
-  EXPECT_EQ(r.live.at(2).spill_bytes, 200u);
+  EXPECT_TRUE(r.live.at(2).evicted());
+  EXPECT_EQ(r.live.at(2).length, 9 + snap2.size());  // type + id + snapshot
   EXPECT_EQ(r.live.at(2).shard, 0u);  // the migrate moved it
+  // Reopened over the replayed view, the journal serves the snapshot back.
+  SessionTable reopened(dir.string(), r.live);
+  EXPECT_EQ(reopened.read_snapshot(2), snap2);
   fs::remove_all(dir);
 }
 
 TEST(SessionTable, CompactionReplacesTheJournalWithTheMinimalEquivalent) {
   const auto dir = unique_dir("compact");
-  std::map<std::uint64_t, SessionTable::LiveSession> live;
-  live[4] = {40, 1, false, 0};
-  live[9] = {90, 2, true, 123};
+  const Bytes snap9(123, 0x99);
   {
-    SessionTable table({dir.string(), 0});
+    SessionTable table(dir.string());
     // A noisy history that compaction must fold away.
     table.record_open(1, 10, 1);
     table.record_open(4, 40, 0);
-    table.record_evict(1, 55);
+    table.record_evict(1, Bytes(55, 0x55));
     table.record_revive(1);
     table.record_finish(1);
     table.record_migrate(4, 1);
     table.record_open(9, 90, 2);
-    table.record_evict(9, 123);
-    table.compact(live);
+    table.record_evict(9, snap9);
+    const auto before = fs::file_size(SessionTable::path_in(dir.string()));
+    table.compact();
     EXPECT_EQ(table.compactions(), 1u);
+    EXPECT_LT(fs::file_size(SessionTable::path_in(dir.string())), before);
+    // The payload was copied across: the index points into the new file.
+    EXPECT_EQ(table.read_snapshot(9), snap9);
     // The handle keeps appending to the compacted file.
     table.record_finish(4);
   }
@@ -547,24 +608,28 @@ TEST(SessionTable, CompactionReplacesTheJournalWithTheMinimalEquivalent) {
   // kOpen(4) + kOpen(9) + kEvict(9) from the compaction, + the kFinish.
   EXPECT_EQ(r.records, 4u);
   ASSERT_EQ(r.live.size(), 1u);
-  EXPECT_TRUE(r.live.at(9).evicted);
-  EXPECT_EQ(r.live.at(9).spill_bytes, 123u);
+  EXPECT_TRUE(r.live.at(9).evicted());
+  EXPECT_EQ(r.live.at(9).seed, 90u);
+  EXPECT_EQ(r.live.at(9).length, 9 + snap9.size());
   fs::remove_all(dir);
 }
 
 TEST(SessionTable, EvictRecordsForceASync) {
   const auto dir = unique_dir("sync");
-  SessionTable table({dir.string(), 1000});  // batching would defer syncs
+  SessionTable table(dir.string());
   table.record_open(1, 1, 0);
-  const auto before = table.syncs();
-  table.record_evict(1, 10);
-  EXPECT_GT(table.syncs(), before);
+  // One record is well inside a batch: nothing has been synced yet...
+  ASSERT_LT(table.records_appended(), SessionTable::kSyncEvery);
+  EXPECT_EQ(table.syncs(), 0u);
+  // ...but an evict record forces the sync the batch would have deferred.
+  table.record_evict(1, Bytes(10, 1));
+  EXPECT_EQ(table.syncs(), 1u);
   fs::remove_all(dir);
 }
 
 TEST(SessionTable, DeadTableRefusesAppends) {
   const auto dir = unique_dir("dead");
-  SessionTable table({dir.string(), 0});
+  SessionTable table(dir.string());
   table.abort_after(0);
   EXPECT_THROW(table.crash_point(), InjectedCrash);
   // Crashed processes stay crashed: every later write throws too.
@@ -573,62 +638,195 @@ TEST(SessionTable, DeadTableRefusesAppends) {
   fs::remove_all(dir);
 }
 
+TEST(SessionTable, MixedPayloadsRoundTripThroughCompactionAndRecovery) {
+  // Both ends of the payload range in one journal: a classical snapshot of
+  // a few hundred bytes and a dense quantum register at k = 6 (2^14
+  // amplitudes, ~256 KiB), persisted (compacted), recovered, restored and
+  // finished with the verdicts of uninterrupted runs.
+  qols::util::Rng rng(66);
+  const auto small_word = word_of(LDisjInstance::make_disjoint(1, rng));
+  const auto big_word =
+      word_of(LDisjInstance::make_with_intersections(6, 1, rng));
+  RecognizerSpec classical;
+  classical.kind = RecognizerKind::kClassicalBlock;
+  RecognizerSpec quantum;
+  quantum.kind = RecognizerKind::kQuantum;
+  quantum.backend = "dense";
+  struct Case {
+    std::uint64_t id;
+    const RecognizerSpec* spec;
+    const std::vector<Symbol>* word;
+    std::uint64_t seed;
+  };
+  const std::vector<Case> cases = {{1, &classical, &small_word, 5},
+                                   {2, &quantum, &big_word, 6}};
+  const auto half = [](const std::vector<Symbol>& w, bool second) {
+    const std::size_t cut = w.size() / 2;
+    return second ? std::span<const Symbol>(w.data() + cut, w.size() - cut)
+                  : std::span<const Symbol>(w.data(), cut);
+  };
+
+  const auto dir = unique_dir("mixed");
+  std::vector<Bytes> snaps;
+  {
+    SessionTable table(dir.string());
+    for (const Case& c : cases) {
+      auto rec = c.spec->make(c.seed);
+      rec->feed_chunk(half(*c.word, false));
+      snaps.push_back(rec->snapshot());
+      table.record_open(c.id, c.seed, 0);
+      table.record_evict(c.id, snaps.back());
+    }
+    table.record_open(3, 7, 0);  // garbage for the compaction to drop
+    table.record_finish(3);
+    table.compact();
+  }
+  EXPECT_LT(snaps[0].size(), 1024u);
+  EXPECT_GT(snaps[1].size(), std::size_t{1} << 18);
+
+  const auto replayed = SessionTable::replay(dir.string());
+  ASSERT_EQ(replayed.live.size(), cases.size());
+  SessionTable recovered(dir.string(), replayed.live);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const Bytes bytes = recovered.read_snapshot(c.id);
+    ASSERT_EQ(bytes, snaps[i]);
+    auto resumed = c.spec->make(0);
+    resumed->restore(bytes);
+    resumed->feed_chunk(half(*c.word, true));
+    auto straight = c.spec->make(c.seed);
+    straight->feed_chunk(*c.word);
+    EXPECT_EQ(resumed->finish(), straight->finish()) << c.id;
+    EXPECT_EQ(resumed->space_used().classical_bits,
+              straight->space_used().classical_bits);
+    EXPECT_EQ(resumed->space_used().qubits, straight->space_used().qubits);
+    recovered.record_revive(c.id);
+    recovered.record_finish(c.id);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(SessionTable, EvictReviveChurnKeepsTheLogWithinAMultipleOfLiveBytes) {
+  // Revived payloads are garbage; automatic compaction must reclaim them,
+  // in a durable journal and in a non-durable service's scratch log alike.
+  constexpr std::size_t kSessions = 8;
+  constexpr int kRounds = 20;
+  qols::util::ThreadPool pool(2);
+  qols::util::Rng rng(88);
+  const auto word = word_of(LDisjInstance::make_disjoint(5, rng));
+  // Past the k = 5 prefix: A3's dense register (2^12 amplitudes) exists.
+  const std::span<const Symbol> prefix(word.data(), 64);
+  for (const bool durable : {false, true}) {
+    const auto dir = unique_dir(durable ? "churn-durable" : "churn-scratch");
+    RecognizerService::Config cfg;
+    cfg.spec.kind = RecognizerKind::kQuantum;
+    cfg.spec.backend = "dense";
+    cfg.spill_dir = dir.string();
+    cfg.durable = durable;
+    cfg.pool = &pool;
+    std::uint64_t written_per_round = 0;
+    {
+      RecognizerService svc(cfg);
+      std::vector<std::uint64_t> ids;
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        ids.push_back(svc.open(100 + s));
+        svc.feed(ids.back(), prefix);
+      }
+      const auto log_size = [&] {
+        std::uint64_t total = 0;
+        for (const auto& e : fs::directory_iterator(dir)) {
+          total += e.file_size();
+        }
+        return total;
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        const auto before = svc.stats().spill_bytes_written;
+        for (const auto id : ids) svc.evict(id);
+        written_per_round = svc.stats().spill_bytes_written - before;
+        // Every session is evicted: the live bytes are its records (and, in
+        // a journal, their kOpen records).
+        const std::uint64_t live = 8 + written_per_round +
+                                   kSessions * (17 + (durable ? 33 : 0));
+        EXPECT_LE(log_size(), 3 * live) << "round " << round;
+        for (const auto id : ids) svc.revive(id);
+      }
+      for (const auto id : ids) svc.finish(id);
+    }
+    // Without compaction the log would have grown past kRounds times that.
+    EXPECT_GT(written_per_round * kRounds, 6 * (SessionTable::kCompactFloor));
+    if (!durable) {
+      EXPECT_TRUE(fs::is_empty(dir));
+    }
+    fs::remove_all(dir);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Service-level recovery errors (spill files vs the manifest).
+// Service-level recovery errors (snapshot records in the manifest).
 // ---------------------------------------------------------------------------
 
-TEST(SessionRecoveryErrors, OrphanSpillRefusesRecovery) {
-  qols::util::ThreadPool pool(2);
-  const auto dir = unique_dir("orphan");
+/// A durable directory holding one session evicted mid-word; returns the
+/// manifest size and the snapshot's length.
+std::pair<std::uint64_t, std::uint64_t> one_evicted_session(
+    const fs::path& dir, qols::util::ThreadPool& pool) {
   qols::util::Rng rng(7);
   const auto word = word_of(LDisjInstance::make_disjoint(1, rng));
-  {
-    RecognizerService svc(durable_config(dir, &pool));
-    const auto id = svc.open(1);
-    svc.feed(id, word);
-    svc.evict(id);
-  }
-  // A spill file the journal does not claim — the signature of a crash
-  // between the spill write and its journal record.
-  std::ofstream(dir / "qols-session-99.snap", std::ios::binary) << "x";
+  RecognizerService svc(durable_config(dir, &pool));
+  const auto id = svc.open(1);
+  svc.feed(id, std::span<const Symbol>(word.data(), word.size() / 2));
+  svc.evict(id);
+  return {fs::file_size(SessionTable::path_in(dir.string())),
+          svc.stats().spill_bytes_written};
+}
+
+TEST(SessionRecoveryErrors, TornEvictRecordRefusesRecovery) {
+  // The log's counterpart of a crash mid-spill: the final kEvict record is
+  // cut inside its snapshot payload.
+  qols::util::ThreadPool pool(2);
+  const auto dir = unique_dir("tornevict");
+  const auto [size, snapshot] = one_evicted_session(dir, pool);
+  ASSERT_GT(snapshot, 2u);
+  fs::resize_file(SessionTable::path_in(dir.string()), size - snapshot / 2);
   RecognizerService svc(durable_config(dir, &pool));
   ASSERT_TRUE(svc.pending_recovery());
-  EXPECT_THROW(svc.recover(), OrphanSpill);
+  EXPECT_THROW(svc.recover(), ManifestTorn);
   fs::remove_all(dir);
 }
 
-TEST(SessionRecoveryErrors, MissingSpillRefusesRecovery) {
+TEST(SessionRecoveryErrors, FlippedSnapshotByteRefusesRecovery) {
   qols::util::ThreadPool pool(2);
-  const auto dir = unique_dir("nospill");
-  qols::util::Rng rng(7);
-  const auto word = word_of(LDisjInstance::make_disjoint(1, rng));
-  {
-    RecognizerService svc(durable_config(dir, &pool));
-    const auto id = svc.open(1);
-    svc.feed(id, word);
-    svc.evict(id);
-  }
-  fs::remove(dir / "qols-session-1.snap");
+  const auto dir = unique_dir("flipsnap");
+  const auto [size, snapshot] = one_evicted_session(dir, pool);
+  flip_byte(SessionTable::path_in(dir.string()), size - snapshot / 2);
   RecognizerService svc(durable_config(dir, &pool));
-  EXPECT_THROW(svc.recover(), SpillMissing);
+  EXPECT_THROW(svc.recover(), ManifestCorrupt);
   fs::remove_all(dir);
 }
 
-TEST(SessionRecoveryErrors, WrongSizeSpillRefusesRecovery) {
+TEST(SessionRecoveryErrors, FlippedSnapshotByteRefusesRevive) {
+  // A live non-durable log is checked on every revive, too.
   qols::util::ThreadPool pool(2);
-  const auto dir = unique_dir("shortspill");
+  const auto dir = unique_dir("flipscratch");
   qols::util::Rng rng(7);
   const auto word = word_of(LDisjInstance::make_disjoint(1, rng));
   {
-    RecognizerService svc(durable_config(dir, &pool));
+    RecognizerService::Config cfg;
+    cfg.spec.kind = RecognizerKind::kClassicalBlock;
+    cfg.spill_dir = dir.string();
+    cfg.pool = &pool;
+    RecognizerService svc(cfg);
     const auto id = svc.open(1);
     svc.feed(id, word);
     svc.evict(id);
+    ASSERT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              1);
+    const fs::path log = fs::directory_iterator(dir)->path();
+    flip_byte(log, fs::file_size(log) - 3);
+    EXPECT_THROW(svc.revive(id), ManifestCorrupt);
+    EXPECT_TRUE(svc.evicted(id));
   }
-  const auto spill = dir / "qols-session-1.snap";
-  fs::resize_file(spill, fs::file_size(spill) - 1);
-  RecognizerService svc(durable_config(dir, &pool));
-  EXPECT_THROW(svc.recover(), SpillMissing);
+  EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);
 }
 
