@@ -51,13 +51,10 @@ class Server {
     std::string bind_address = "127.0.0.1";
     /// 0 = ephemeral: the kernel picks; read it back with port().
     std::uint16_t port = 0;
-    int backlog = 256;
     std::size_t max_connections = 1024;
     std::uint64_t max_sessions = std::uint64_t{1} << 17;
     /// Write-buffer high watermark per connection; reads pause above it.
     std::size_t write_buffer_cap = std::size_t{1} << 20;
-    /// recv() chunk size.
-    std::size_t read_chunk = std::size_t{1} << 16;
     /// RecognizerService batching threshold (symbols per shard).
     std::uint64_t flush_threshold = std::uint64_t{1} << 18;
     /// Feed via RecognizerService::feed_borrowed (zero-copy, inline).
@@ -115,7 +112,8 @@ class Server {
   service::RecognizerService& service() noexcept { return *svc_; }
 
   /// Loop-owned counters, readable after run() returns (and exported live
-  /// via telemetry / the STATS frame while it runs).
+  /// by the STATS and METRICS frames while it runs). Sessions recovered at
+  /// startup are the service's: service().stats().recovered_sessions.
   struct Counters {
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_closed = 0;
@@ -125,10 +123,24 @@ class Server {
     std::uint64_t idle_evictions = 0;
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
-    /// Sessions re-adopted from a prior manifest by the durable ctor.
-    std::uint64_t sessions_recovered = 0;
     /// Sessions persisted by the shutdown checkpoint.
     std::uint64_t sessions_persisted = 0;
+
+    /// The one list of the fields above: calls f(name, value) for each.
+    /// The STATS frame's "server" object and the METRICS frame's
+    /// qols_server_<name> series both come from it.
+    template <typename F>
+    void for_each_field(F&& f) const {
+      f("connections_accepted", connections_accepted);
+      f("connections_closed", connections_closed);
+      f("accept_rejected", accept_rejected);
+      f("backpressure_pauses", backpressure_pauses);
+      f("sessions_abandoned", sessions_abandoned);
+      f("idle_evictions", idle_evictions);
+      f("bytes_in", bytes_in);
+      f("bytes_out", bytes_out);
+      f("sessions_persisted", sessions_persisted);
+    }
   };
   const Counters& counters() const noexcept { return counters_; }
 

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -63,6 +64,9 @@ struct BrokerShared {
   /// Optional transport hook: called with the STATS document so the server
   /// can append its own section (connections, backpressure pauses, ...).
   std::function<void(util::json::Value&)> stats_hook;
+  /// The same for the METRICS text: called after the process registry and
+  /// the service's own section have been rendered.
+  std::function<void(std::ostream&)> metrics_hook;
   /// Session ids owned by SOME live connection of this server. RESUME may
   /// only adopt a session no live connection owns — two connections driving
   /// one recognizer would interleave their symbols nondeterministically.

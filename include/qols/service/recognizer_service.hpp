@@ -23,12 +23,19 @@
 //
 // The public API is meant to be driven from one thread (the "acceptor");
 // parallelism happens inside flush(), across sessions. Exception: evict(),
-// revive(), evicted(), feed(), and stats() may race a flush() draining on
-// the pool — they synchronize on per-shard slot locks. Map-shape operations
-// (open/open_at/finish) remain acceptor-only.
+// revive(), evicted(), feed(), buffered_symbols() and stats() may race a
+// flush() draining on the pool — they synchronize on per-shard slot locks
+// or read atomics. Map-shape operations (open/open_at/finish) remain
+// acceptor-only.
+//
+// Accounting is per instance: Stats is the service's only counter set, and
+// render_prometheus() exports it, so two services in one process never sum
+// into one series.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -36,12 +43,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include <atomic>
-
 #include "qols/machine/online_recognizer.hpp"
 #include "qols/service/session_table.hpp"
 #include "qols/stream/symbol_stream.hpp"
-#include "qols/telemetry/registry.hpp"
+#include "qols/telemetry/instruments.hpp"
 #include "qols/util/thread_pool.hpp"
 
 namespace qols::service {
@@ -129,6 +134,8 @@ class RecognizerService {
     std::uint64_t sessions_opened = 0;
     std::uint64_t sessions_finished = 0;
     std::uint64_t symbols_ingested = 0;
+    /// Chunks fed through feed_borrowed().
+    std::uint64_t borrowed_chunks = 0;
     std::uint64_t flushes = 0;
     /// Wall-clock spent inside flush drains (the recognizer work).
     double busy_seconds = 0.0;
@@ -149,6 +156,25 @@ class RecognizerService {
     // live accumulators are zeroed with RecognizerService::reset_stats(),
     // which stores each atomic cell individually (TSan-verified concurrent
     // with flush drains); a held copy is reset by plain reassignment.
+
+    /// The one list of the fields above: calls f(name, value) for each, in
+    /// declaration order. The STATS frame's "service" object and the
+    /// METRICS frame's qols_service_<name> series both come from it.
+    template <typename F>
+    void for_each_field(F&& f) const {
+      f("sessions_opened", sessions_opened);
+      f("sessions_finished", sessions_finished);
+      f("symbols_ingested", symbols_ingested);
+      f("borrowed_chunks", borrowed_chunks);
+      f("flushes", flushes);
+      f("busy_seconds", busy_seconds);
+      f("evictions", evictions);
+      f("revives", revives);
+      f("spill_bytes_written", spill_bytes_written);
+      f("spill_bytes_read", spill_bytes_read);
+      f("migrations", migrations);
+      f("recovered_sessions", recovered_sessions);
+    }
 
     double symbols_per_second() const noexcept {
       return busy_seconds > 0.0
@@ -282,7 +308,7 @@ class RecognizerService {
 
   std::size_t open_sessions() const noexcept { return sessions_.size(); }
   /// Total buffered symbols, summed over shards (not maintained globally on
-  /// the feed hot path).
+  /// the feed hot path). Safe to call while a flush is draining.
   std::uint64_t buffered_symbols() const noexcept;
   /// Torn-free value snapshot of the internal atomic accumulators (safe to
   /// call while a flush is draining on the pool).
@@ -291,6 +317,13 @@ class RecognizerService {
   void reset_stats() noexcept;
   const Config& config() const noexcept { return config_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
+
+  /// This instance's Prometheus section: every Stats field as
+  /// qols_service_<name>, the open-session and per-shard queue-depth gauges
+  /// (qols_service_shard_queue_depth{shard="<i>"}), the manifest's record
+  /// and compaction counts, and the flush/finish latency histograms.
+  /// Acceptor-thread only, like open().
+  void render_prometheus(std::ostream& os) const;
 
  private:
   struct Session {
@@ -301,20 +334,26 @@ class RecognizerService {
   };
 
   struct Shard {
+    /// The slot lock. A flush worker owns it for the whole drain;
+    /// evict/evicted/revive/feed/drain take the same lock, so spilling or
+    /// probing a session mid-flush never races the pool.
+    std::mutex mu;
     /// Sessions with non-empty buffers, in first-buffered order.
     std::vector<SessionId> ready;
-    std::uint64_t buffered = 0;
+    /// The shard's queue depth in symbols: written under `mu`, read relaxed
+    /// without it by flush()'s early-out, buffered_symbols() and the
+    /// METRICS depth series.
+    std::atomic<std::uint64_t> buffered{0};
   };
 
   /// The live accumulators behind stats(). Plain relaxed atomics — NOT
   /// telemetry instruments — because Stats is functional accounting the
-  /// tests rely on: it must keep counting with telemetry runtime-disabled
-  /// or compiled out. The registry-backed instruments below mirror a subset
-  /// for export and add what Stats never had (latency tails, queue depths).
+  /// tests rely on: it must keep counting with telemetry runtime-disabled.
   struct StatCells {
     std::atomic<std::uint64_t> sessions_opened{0};
     std::atomic<std::uint64_t> sessions_finished{0};
     std::atomic<std::uint64_t> symbols_ingested{0};
+    std::atomic<std::uint64_t> borrowed_chunks{0};
     std::atomic<std::uint64_t> flushes{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> evictions{0};
@@ -323,25 +362,6 @@ class RecognizerService {
     std::atomic<std::uint64_t> spill_bytes_read{0};
     std::atomic<std::uint64_t> migrations{0};
     std::atomic<std::uint64_t> recovered_sessions{0};
-  };
-
-  /// Registry-backed instruments, resolved once at construction (references
-  /// stay valid forever; recording is lock-free and gated by
-  /// telemetry::enabled()).
-  struct Instruments {
-    telemetry::Gauge& sessions_open;
-    telemetry::Counter& symbols_ingested;
-    telemetry::Counter& borrowed_chunks;
-    telemetry::Counter& evictions;
-    telemetry::Counter& revives;
-    telemetry::Counter& spill_bytes_written;
-    telemetry::Counter& spill_bytes_read;
-    telemetry::Counter& migrations;
-    telemetry::Counter& recovered_sessions;
-    telemetry::LatencyHistogram& flush_ns;
-    telemetry::LatencyHistogram& finish_ns;
-
-    Instruments();
   };
 
   Session& session_or_throw(SessionId id);
@@ -364,21 +384,15 @@ class RecognizerService {
   util::ThreadPool* pool_ = nullptr;
   SessionId next_id_ = 1;
   std::unordered_map<SessionId, Session> sessions_;
+  /// Sized once by the constructor (one shard per pool worker), never
+  /// resized: Shard holds a mutex and an atomic.
   std::vector<Shard> shards_;
-  /// Per-shard slot locks. A flush worker owns its shard's mutex for the
-  /// whole drain; evict/evicted/revive/feed/drain take the same lock, so
-  /// spilling or probing a session mid-flush no longer races the pool (the
-  /// documented PR 7 gap). Separate array because std::mutex is immovable
-  /// and Shard must stay movable.
-  std::unique_ptr<std::mutex[]> shard_mu_;
-  /// One queue-depth gauge per shard ("service.shard_queue_depth.<i>"),
-  /// written with absolute set()s so toggling telemetry at runtime can
-  /// never leave a gauge out of sync with the shard.
-  std::vector<telemetry::Gauge*> shard_depth_;
   std::unique_ptr<SessionTable> log_;  // the journal, or the scratch log
   bool pending_recovery_ = false;
   StatCells cells_;
-  Instruments telem_;
+  /// Drain and finish latencies; recording is gated by telemetry::enabled().
+  telemetry::LatencyHistogram flush_ns_;
+  telemetry::LatencyHistogram finish_ns_;
 };
 
 }  // namespace qols::service

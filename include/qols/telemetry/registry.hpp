@@ -1,6 +1,10 @@
 #pragma once
 // The process-wide metrics registry: named, label-free instruments with two
-// export formats.
+// export formats. It holds only instruments that are process-wide by
+// nature — kernel trace spans, stream transport, fuzz, and the wire
+// broker's frame counters. Per-instance accounting (a RecognizerService's
+// Stats, a Server's Counters) stays with its owner, which renders its own
+// section after this one (RecognizerService::render_prometheus).
 //
 //   - Registration is a mutex-guarded name lookup — COLD. Call sites
 //     resolve their instruments once (a function-local static or a member
@@ -15,26 +19,18 @@
 //     qols_bench JSON reporter as the document's `extra.telemetry` block
 //     (schema qols-bench/4);
 //   - render_prometheus(): text exposition (counter/gauge/histogram with
-//     cumulative le-buckets) for the future network-facing server — the
-//     /metrics endpoint is a render_prometheus call away.
-//
-// With telemetry compiled out (QOLS_TELEMETRY=OFF) the registry keeps its
-// API but stores nothing: every lookup hands back one shared no-op
-// instrument, snapshot() reports {"compiled": false}, and the exposition is
-// a single comment line.
+//     cumulative le-buckets), the first part of qols_server's METRICS
+//     frame.
 
 #include <iosfwd>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 
 #include "qols/telemetry/instruments.hpp"
 #include "qols/util/json.hpp"
-
-#if QOLS_TELEMETRY_ENABLED
-#include <map>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace qols::telemetry {
 
@@ -55,7 +51,7 @@ class MetricsRegistry {
   /// isolation). Instruments stay registered; references stay valid.
   void reset_all();
 
-  /// JSON view of every instrument: {"compiled", "enabled", "counters",
+  /// JSON view of every instrument: {"enabled", "counters",
   /// "gauges", "histograms"} — histograms carry count/sum/mean/p50/p90/p99
   /// plus their non-empty [bound, count] buckets. Deterministic order
   /// (names sorted).
@@ -66,21 +62,12 @@ class MetricsRegistry {
   /// render cumulative le-buckets plus _sum/_count.
   void render_prometheus(std::ostream& os) const;
 
-#if QOLS_TELEMETRY_ENABLED
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       histograms_;
-#else
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  LatencyHistogram histogram_;
-#endif
 };
 
 /// Shorthand for MetricsRegistry::global().snapshot() — the export the
@@ -89,6 +76,13 @@ util::json::Value snapshot();
 
 /// Shorthand for MetricsRegistry::global().render_prometheus(os).
 void render_prometheus(std::ostream& os);
+
+/// The Prometheus exposition of one histogram under the already-sanitized
+/// metric name `name`: its TYPE line, cumulative le-buckets up to the
+/// highest populated one, +Inf, _sum and _count. The registry renders its
+/// histograms with it, and so does every per-instance section.
+void render_prometheus_histogram(std::ostream& os, std::string_view name,
+                                 const HistogramSnapshot& s);
 
 /// A resolved profiling site: one invocation counter plus one nanosecond
 /// histogram, looked up together ("<name>.calls", "<name>.ns"). Resolve
@@ -102,8 +96,7 @@ struct SpanSite {
 };
 
 /// RAII profiling hook over a SpanSite: counts the call and times the
-/// scope. Runtime-disabled cost: one branch (no clock read); compiled-out
-/// cost: nothing.
+/// scope. Runtime-disabled cost: one branch (no clock read).
 class TraceSpan {
  public:
   explicit TraceSpan(SpanSite& site) noexcept : timer_(site.ns) {

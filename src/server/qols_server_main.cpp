@@ -109,10 +109,11 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
     std::signal(SIGPIPE, SIG_IGN);
-    if (server.counters().sessions_recovered > 0) {
+    const std::uint64_t recovered =
+        server.service().stats().recovered_sessions;
+    if (recovered > 0) {
       std::printf("qols_server: recovered %llu sessions from %s\n",
-                  static_cast<unsigned long long>(
-                      server.counters().sessions_recovered),
+                  static_cast<unsigned long long>(recovered),
                   cfg.spill_dir.c_str());
     }
     std::printf("qols_server: listening on %s:%u\n", cfg.bind_address.c_str(),

@@ -11,12 +11,18 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <ostream>
 #include <system_error>
 #include <utility>
 
 namespace qols::server {
 
 namespace {
+
+/// recv() chunk size.
+constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+/// listen() backlog.
+constexpr int kListenBacklog = 256;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -65,8 +71,7 @@ Server::Server(const Config& config) : config_(config) {
     // A prior incarnation left a manifest in spill_dir: adopt its sessions
     // before the first connection arrives. Typed recovery errors propagate —
     // a damaged directory must refuse to serve, never mis-serve.
-    const auto report = svc_->recover();
-    counters_.sessions_recovered = report.sessions_recovered;
+    svc_->recover();
   }
 
   BrokerShared::Options opts;
@@ -78,17 +83,19 @@ Server::Server(const Config& config) : config_(config) {
     auto& srv = doc.set("server", util::json::Value::object());
     srv.set("connections",
             static_cast<std::uint64_t>(connections_.size()));
-    srv.set("connections_accepted", counters_.connections_accepted);
-    srv.set("connections_closed", counters_.connections_closed);
-    srv.set("accept_rejected", counters_.accept_rejected);
-    srv.set("backpressure_pauses", counters_.backpressure_pauses);
-    srv.set("sessions_abandoned", counters_.sessions_abandoned);
-    srv.set("idle_evictions", counters_.idle_evictions);
-    srv.set("bytes_in", counters_.bytes_in);
-    srv.set("bytes_out", counters_.bytes_out);
-    srv.set("sessions_recovered", counters_.sessions_recovered);
-    srv.set("sessions_persisted", counters_.sessions_persisted);
+    counters_.for_each_field(
+        [&srv](const char* name, std::uint64_t v) { srv.set(name, v); });
+    // The service owns this count; the key stays for STATS readers.
+    srv.set("sessions_recovered", svc_->stats().recovered_sessions);
     srv.set("draining", draining_);
+  };
+  shared_->metrics_hook = [this](std::ostream& os) {
+    os << "# TYPE qols_server_connections gauge\nqols_server_connections "
+       << connections_.size() << "\n";
+    counters_.for_each_field([&os](const char* name, std::uint64_t v) {
+      os << "# TYPE qols_server_" << name << " counter\nqols_server_" << name
+         << " " << v << "\n";
+    });
   };
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -119,7 +126,7 @@ Server::Server(const Config& config) : config_(config) {
              sizeof(addr)) < 0) {
     throw_errno("bind");
   }
-  if (::listen(listen_fd_, config_.backlog) < 0) throw_errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) < 0) throw_errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -288,7 +295,7 @@ void Server::connection_ready(Connection& conn, std::uint32_t events,
     }
   }
   if ((events & EPOLLIN) != 0 && !conn.closing) {
-    std::vector<std::uint8_t> buf(config_.read_chunk);
+    std::vector<std::uint8_t> buf(kReadChunk);
     for (;;) {
       const ssize_t n = ::recv(conn.fd, buf.data(), buf.size(), 0);
       if (n > 0) {

@@ -292,23 +292,13 @@ bool SessionBroker::handle(const wire::Frame& frame,
         return fail(out, ErrorCode::kMalformedFrame, 0,
                     "STATS carries no payload");
       }
-      const auto stats = shared_.svc.stats();
       auto doc = json::Value::object();
       auto& svc = doc.set("service", json::Value::object());
       svc.set("sessions_open",
               static_cast<std::uint64_t>(shared_.svc.open_sessions()));
       svc.set("buffered_symbols", shared_.svc.buffered_symbols());
-      svc.set("sessions_opened", stats.sessions_opened);
-      svc.set("sessions_finished", stats.sessions_finished);
-      svc.set("symbols_ingested", stats.symbols_ingested);
-      svc.set("flushes", stats.flushes);
-      svc.set("busy_seconds", stats.busy_seconds);
-      svc.set("evictions", stats.evictions);
-      svc.set("revives", stats.revives);
-      svc.set("spill_bytes_written", stats.spill_bytes_written);
-      svc.set("spill_bytes_read", stats.spill_bytes_read);
-      svc.set("migrations", stats.migrations);
-      svc.set("recovered_sessions", stats.recovered_sessions);
+      shared_.svc.stats().for_each_field(
+          [&svc](const char* name, auto value) { svc.set(name, value); });
       auto& conn = doc.set("connection", json::Value::object());
       conn.set("open_sessions",
                static_cast<std::uint64_t>(sessions_.size()));
@@ -325,8 +315,11 @@ bool SessionBroker::handle(const wire::Frame& frame,
         return fail(out, ErrorCode::kMalformedFrame, 0,
                     "METRICS carries no payload");
       }
+      // Process-wide instruments first, then this server's own instances.
       std::ostringstream os;
       telemetry::render_prometheus(os);
+      shared_.svc.render_prometheus(os);
+      if (shared_.metrics_hook) shared_.metrics_hook(os);
       wire::append_text(out, FrameType::kMetricsText, os.str());
       shared_.frames_out.add();
       return true;

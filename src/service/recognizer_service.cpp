@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <ostream>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
 #include "qols/core/classical_recognizers.hpp"
 #include "qols/core/quantum_recognizer.hpp"
+#include "qols/telemetry/registry.hpp"
 #include "qols/util/stopwatch.hpp"
 
 namespace qols::service {
@@ -19,30 +22,6 @@ std::uint64_t to_ns(double seconds) {
 }
 
 }  // namespace
-
-RecognizerService::Instruments::Instruments()
-    : sessions_open(
-          telemetry::MetricsRegistry::global().gauge("service.sessions_open")),
-      symbols_ingested(telemetry::MetricsRegistry::global().counter(
-          "service.symbols_ingested")),
-      borrowed_chunks(telemetry::MetricsRegistry::global().counter(
-          "service.borrowed_chunks")),
-      evictions(
-          telemetry::MetricsRegistry::global().counter("service.evictions")),
-      revives(telemetry::MetricsRegistry::global().counter("service.revives")),
-      spill_bytes_written(telemetry::MetricsRegistry::global().counter(
-          "service.spill_bytes_written")),
-      spill_bytes_read(telemetry::MetricsRegistry::global().counter(
-          "service.spill_bytes_read")),
-      migrations(
-          telemetry::MetricsRegistry::global().counter("service.migrations")),
-      recovered_sessions(telemetry::MetricsRegistry::global().counter(
-          "service.recovered_sessions")),
-      flush_ns(
-          telemetry::MetricsRegistry::global().histogram("service.flush_ns")),
-      finish_ns(
-          telemetry::MetricsRegistry::global().histogram("service.finish_ns")) {
-}
 
 std::string recognizer_kind_name(RecognizerKind kind) {
   switch (kind) {
@@ -89,20 +68,13 @@ std::unique_ptr<machine::OnlineRecognizer> RecognizerSpec::make(
 }
 
 RecognizerService::RecognizerService(Config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      pool_(config_.pool != nullptr ? config_.pool
+                                    : &util::ThreadPool::global()),
+      shards_(std::max<std::size_t>(pool_->thread_count(), 1)) {
   // Surface a bad backend id at service construction, not first open():
   // the spec is the service's contract with every future session.
   config_.spec.make(0);
-  pool_ = config_.pool != nullptr ? config_.pool : &util::ThreadPool::global();
-  const std::size_t n = pool_->thread_count();
-  shards_.resize(n > 0 ? n : 1);
-  shard_mu_ = std::make_unique<std::mutex[]>(shards_.size());
-  shard_depth_.reserve(shards_.size());
-  auto& registry = telemetry::MetricsRegistry::global();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shard_depth_.push_back(
-        &registry.gauge("service.shard_queue_depth." + std::to_string(i)));
-  }
   if (config_.durable) {
     if (config_.spill_dir.empty()) {
       throw std::invalid_argument(
@@ -186,7 +158,6 @@ RecognizerService::SessionId RecognizerService::open_at(SessionId id,
   }
   sessions_.emplace(id, std::move(session));
   cells_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-  telem_.sessions_open.set(static_cast<std::int64_t>(sessions_.size()));
   return id;
 }
 
@@ -196,17 +167,17 @@ void RecognizerService::feed(SessionId id,
   if (session.evicted) revive_session(id, session);
   bool over_threshold = false;
   {
-    std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
     Shard& shard = shards_[session.shard];
+    std::lock_guard<std::mutex> lock(shard.mu);
     if (session.pending.empty() && !chunk.empty()) shard.ready.push_back(id);
     session.pending.insert(session.pending.end(), chunk.begin(), chunk.end());
-    shard.buffered += chunk.size();
-    shard_depth_[session.shard]->set(
-        static_cast<std::int64_t>(shard.buffered));
-    over_threshold = shard.buffered >= config_.flush_threshold;
+    // Written only under the lock, so load + store needs no RMW.
+    const std::uint64_t depth =
+        shard.buffered.load(std::memory_order_relaxed) + chunk.size();
+    shard.buffered.store(depth, std::memory_order_relaxed);
+    over_threshold = depth >= config_.flush_threshold;
   }
   cells_.symbols_ingested.fetch_add(chunk.size(), std::memory_order_relaxed);
-  telem_.symbols_ingested.add(chunk.size());
   // The shard lock is released first: flush()'s worker re-takes it.
   if (over_threshold) flush();
 }
@@ -217,7 +188,7 @@ void RecognizerService::feed_borrowed(SessionId id,
   if (session.evicted) revive_session(id, session);
   util::Stopwatch watch;
   {
-    std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+    std::lock_guard<std::mutex> lock(shards_[session.shard].mu);
     // Order within the session must hold: anything already buffered goes
     // first, then the borrowed span — which is consumed before returning,
     // so the caller's view (e.g. a MappedFileStream page) may be
@@ -226,28 +197,32 @@ void RecognizerService::feed_borrowed(SessionId id,
     session.recognizer->feed_chunk(chunk);
   }
   cells_.symbols_ingested.fetch_add(chunk.size(), std::memory_order_relaxed);
+  cells_.borrowed_chunks.fetch_add(1, std::memory_order_relaxed);
   cells_.busy_ns.fetch_add(to_ns(watch.seconds()), std::memory_order_relaxed);
-  telem_.symbols_ingested.add(chunk.size());
-  telem_.borrowed_chunks.add();
 }
 
 void RecognizerService::drain_inline(SessionId id, Session& session) {
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shards_[session.shard].mu);
   drain_locked(id, session);
 }
 
 void RecognizerService::drain_locked(SessionId id, Session& session) {
   Shard& shard = shards_[session.shard];
-  shard.buffered -= session.pending.size();
+  shard.buffered.store(
+      shard.buffered.load(std::memory_order_relaxed) - session.pending.size(),
+      std::memory_order_relaxed);
   session.recognizer->feed_chunk(session.pending);
   session.pending.clear();
   std::erase(shard.ready, id);
-  shard_depth_[session.shard]->set(static_cast<std::int64_t>(shard.buffered));
 }
 
 void RecognizerService::flush() {
+  // Unlocked relaxed reads: a feed() racing this check is either seen now
+  // or drained by the next flush.
   bool any = false;
-  for (const Shard& shard : shards_) any = any || shard.buffered > 0;
+  for (const Shard& shard : shards_) {
+    any = any || shard.buffered.load(std::memory_order_relaxed) > 0;
+  }
   if (!any) return;
   util::Stopwatch watch;
   // One task per shard: a session is pinned to its shard for life, so no
@@ -259,22 +234,21 @@ void RecognizerService::flush() {
           // The worker owns the shard's slot lock for the whole drain, so
           // evict()/evicted()/feed() on a session of this shard serialize
           // against it instead of racing the recognizer state.
-          std::lock_guard<std::mutex> lock(shard_mu_[si]);
           Shard& shard = shards_[si];
+          std::lock_guard<std::mutex> lock(shard.mu);
           for (const SessionId id : shard.ready) {
             Session& s = sessions_.find(id)->second;
             s.recognizer->feed_chunk(s.pending);
             s.pending.clear();
           }
           shard.ready.clear();
-          shard.buffered = 0;
-          shard_depth_[si]->set(0);
+          shard.buffered.store(0, std::memory_order_relaxed);
         }
       });
   const std::uint64_t ns = to_ns(watch.seconds());
   cells_.busy_ns.fetch_add(ns, std::memory_order_relaxed);
   cells_.flushes.fetch_add(1, std::memory_order_relaxed);
-  telem_.flush_ns.record(ns);
+  flush_ns_.record(ns);
 }
 
 RecognizerService::Verdict RecognizerService::finish(SessionId id) {
@@ -293,14 +267,15 @@ RecognizerService::Verdict RecognizerService::finish(SessionId id) {
   cells_.busy_ns.fetch_add(ns, std::memory_order_relaxed);
   cells_.sessions_finished.fetch_add(1, std::memory_order_relaxed);
   sessions_.erase(id);
-  telem_.finish_ns.record(ns);
-  telem_.sessions_open.set(static_cast<std::int64_t>(sessions_.size()));
+  finish_ns_.record(ns);
   return verdict;
 }
 
 std::uint64_t RecognizerService::buffered_symbols() const noexcept {
   std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.buffered;
+  for (const Shard& shard : shards_) {
+    total += shard.buffered.load(std::memory_order_relaxed);
+  }
   return total;
 }
 
@@ -311,7 +286,7 @@ void RecognizerService::evict(SessionId id) {
   // leave exactly n records.
   SessionTable& log = spill_log();
   log.crash_point();
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shards_[session.shard].mu);
   // The buffer must reach the recognizer before the state is frozen —
   // snapshotting around unconsumed symbols would replay them out of order.
   if (!session.pending.empty()) drain_locked(id, session);
@@ -322,14 +297,12 @@ void RecognizerService::evict(SessionId id) {
   cells_.evictions.fetch_add(1, std::memory_order_relaxed);
   cells_.spill_bytes_written.fetch_add(bytes.size(),
                                        std::memory_order_relaxed);
-  telem_.evictions.add();
-  telem_.spill_bytes_written.add(bytes.size());
 }
 
 void RecognizerService::revive_session(SessionId id, Session& session) {
   SessionTable& log = spill_log();
   log.crash_point();
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shards_[session.shard].mu);
   const std::vector<std::uint8_t> bytes = log.read_snapshot(id);
   // The restore overwrites every bit of recognizer state, seed included, so
   // the construction seed here is immaterial.
@@ -339,8 +312,6 @@ void RecognizerService::revive_session(SessionId id, Session& session) {
   session.evicted = false;
   cells_.revives.fetch_add(1, std::memory_order_relaxed);
   cells_.spill_bytes_read.fetch_add(bytes.size(), std::memory_order_relaxed);
-  telem_.revives.add();
-  telem_.spill_bytes_read.add(bytes.size());
 }
 
 void RecognizerService::revive(SessionId id) {
@@ -350,7 +321,7 @@ void RecognizerService::revive(SessionId id) {
 
 bool RecognizerService::evicted(SessionId id) {
   Session& session = session_or_throw(id);
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shards_[session.shard].mu);
   return session.evicted;
 }
 
@@ -375,7 +346,6 @@ void RecognizerService::migrate(SessionId id, std::size_t target_shard) {
   session.shard = target_shard;
   if (was_resident) revive_session(id, session);
   cells_.migrations.fetch_add(1, std::memory_order_relaxed);
-  telem_.migrations.add();
 }
 
 std::size_t RecognizerService::rebalance(std::size_t max_moves) {
@@ -468,8 +438,6 @@ RecognizerService::RecoveryReport RecognizerService::recover() {
   pending_recovery_ = false;
   cells_.recovered_sessions.fetch_add(report.sessions_recovered,
                                       std::memory_order_relaxed);
-  telem_.recovered_sessions.add(report.sessions_recovered);
-  telem_.sessions_open.set(static_cast<std::int64_t>(sessions_.size()));
   return report;
 }
 
@@ -487,6 +455,7 @@ RecognizerService::Stats RecognizerService::stats() const noexcept {
   s.sessions_finished =
       cells_.sessions_finished.load(std::memory_order_relaxed);
   s.symbols_ingested = cells_.symbols_ingested.load(std::memory_order_relaxed);
+  s.borrowed_chunks = cells_.borrowed_chunks.load(std::memory_order_relaxed);
   s.flushes = cells_.flushes.load(std::memory_order_relaxed);
   s.busy_seconds =
       static_cast<double>(cells_.busy_ns.load(std::memory_order_relaxed)) /
@@ -506,6 +475,7 @@ void RecognizerService::reset_stats() noexcept {
   cells_.sessions_opened.store(0, std::memory_order_relaxed);
   cells_.sessions_finished.store(0, std::memory_order_relaxed);
   cells_.symbols_ingested.store(0, std::memory_order_relaxed);
+  cells_.borrowed_chunks.store(0, std::memory_order_relaxed);
   cells_.flushes.store(0, std::memory_order_relaxed);
   cells_.busy_ns.store(0, std::memory_order_relaxed);
   cells_.evictions.store(0, std::memory_order_relaxed);
@@ -514,6 +484,29 @@ void RecognizerService::reset_stats() noexcept {
   cells_.spill_bytes_read.store(0, std::memory_order_relaxed);
   cells_.migrations.store(0, std::memory_order_relaxed);
   cells_.recovered_sessions.store(0, std::memory_order_relaxed);
+}
+
+void RecognizerService::render_prometheus(std::ostream& os) const {
+  stats().for_each_field([&os](const char* name, auto value) {
+    os << "# TYPE qols_service_" << name << " counter\nqols_service_" << name
+       << " " << value << "\n";
+  });
+  os << "# TYPE qols_service_sessions_open gauge\nqols_service_sessions_open "
+     << sessions_.size() << "\n";
+  os << "# TYPE qols_service_shard_queue_depth gauge\n";
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    os << "qols_service_shard_queue_depth{shard=\"" << i << "\"} "
+       << shards_[i].buffered.load(std::memory_order_relaxed) << "\n";
+  }
+  os << "# TYPE qols_service_manifest_records counter\n"
+     << "qols_service_manifest_records " << manifest_records() << "\n"
+     << "# TYPE qols_service_compactions counter\n"
+     << "qols_service_compactions "
+     << (log_ != nullptr ? log_->compactions() : 0) << "\n";
+  telemetry::render_prometheus_histogram(os, "qols_service_flush_ns",
+                                         flush_ns_.snapshot());
+  telemetry::render_prometheus_histogram(os, "qols_service_finish_ns",
+                                         finish_ns_.snapshot());
 }
 
 }  // namespace qols::service

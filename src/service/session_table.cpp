@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "qols/core/grover_streamer.hpp"
-#include "qols/telemetry/registry.hpp"
 #include "qols/util/crc32.hpp"
 #include "qols/util/serde.hpp"
 
@@ -83,18 +82,6 @@ std::vector<std::uint8_t> make_record(
   store_u32(rec.data(), static_cast<std::uint32_t>(payload.size()));
   store_u32(rec.data() + 4, util::crc32(payload));
   return rec;
-}
-
-telemetry::Counter& records_counter() {
-  static telemetry::Counter& c =
-      telemetry::MetricsRegistry::global().counter("service.manifest_records");
-  return c;
-}
-
-telemetry::Counter& compactions_counter() {
-  static telemetry::Counter& c =
-      telemetry::MetricsRegistry::global().counter("service.compactions");
-  return c;
 }
 
 [[noreturn]] void corrupt(std::uint64_t record, const std::string& why) {
@@ -280,7 +267,6 @@ void SessionTable::append(RecordType type,
   size_ += record.size();
   ++appended_;
   if (!durable_) return;
-  records_counter().add();
   if (type == RecordType::kEvict || ++unsynced_ >= kSyncEvery) {
     fsync_or_throw(fd_, path_);
     unsynced_ = 0;
@@ -446,7 +432,6 @@ void SessionTable::compact() {
   size_ = live_bytes_ = written;
   unsynced_ = 0;
   ++compactions_;
-  compactions_counter().add();
 }
 
 SessionTable::Replay SessionTable::replay(const std::string& dir) {

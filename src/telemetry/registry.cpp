@@ -17,8 +17,6 @@ MetricsRegistry& MetricsRegistry::global() {
   return *instance;
 }
 
-#if QOLS_TELEMETRY_ENABLED
-
 namespace {
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted
@@ -92,7 +90,6 @@ void MetricsRegistry::reset_all() {
 Value MetricsRegistry::snapshot() const {
   std::lock_guard lock(mu_);
   auto doc = Value::object();
-  doc.set("compiled", true);
   doc.set("enabled", enabled());
 
   auto counters = Value::object();
@@ -139,50 +136,28 @@ void MetricsRegistry::render_prometheus(std::ostream& os) const {
     os << "# TYPE " << p << " gauge\n" << p << " " << g->value() << "\n";
   }
   for (const auto& [name, h] : histograms_) {
-    const std::string p = prometheus_name(name);
-    const HistogramSnapshot s = h->snapshot();
-    os << "# TYPE " << p << " histogram\n";
-    // Cumulative buckets up to the highest populated one; +Inf always.
-    unsigned top = 0;
-    for (unsigned i = 0; i < kHistogramBuckets; ++i) {
-      if (s.buckets[i] != 0) top = i;
-    }
-    std::uint64_t cum = 0;
-    for (unsigned i = 0; i <= top; ++i) {
-      cum += s.buckets[i];
-      os << p << "_bucket{le=\"" << histogram_bucket_bound(i) << "\"} " << cum
-         << "\n";
-    }
-    os << p << "_bucket{le=\"+Inf\"} " << s.count << "\n"
-       << p << "_sum " << s.sum << "\n"
-       << p << "_count " << s.count << "\n";
+    render_prometheus_histogram(os, prometheus_name(name), h->snapshot());
   }
 }
 
-#else  // telemetry compiled out: one shared no-op instrument per kind
-
-Counter& MetricsRegistry::counter(std::string_view) { return counter_; }
-Gauge& MetricsRegistry::gauge(std::string_view) { return gauge_; }
-LatencyHistogram& MetricsRegistry::histogram(std::string_view) {
-  return histogram_;
+void render_prometheus_histogram(std::ostream& os, std::string_view name,
+                                 const HistogramSnapshot& s) {
+  os << "# TYPE " << name << " histogram\n";
+  // Cumulative buckets up to the highest populated one; +Inf always.
+  unsigned top = 0;
+  for (unsigned i = 0; i < kHistogramBuckets; ++i) {
+    if (s.buckets[i] != 0) top = i;
+  }
+  std::uint64_t cum = 0;
+  for (unsigned i = 0; i <= top; ++i) {
+    cum += s.buckets[i];
+    os << name << "_bucket{le=\"" << histogram_bucket_bound(i) << "\"} " << cum
+       << "\n";
+  }
+  os << name << "_bucket{le=\"+Inf\"} " << s.count << "\n"
+     << name << "_sum " << s.sum << "\n"
+     << name << "_count " << s.count << "\n";
 }
-void MetricsRegistry::reset_all() {}
-
-Value MetricsRegistry::snapshot() const {
-  auto doc = Value::object();
-  doc.set("compiled", false);
-  doc.set("enabled", false);
-  doc.set("counters", Value::object());
-  doc.set("gauges", Value::object());
-  doc.set("histograms", Value::object());
-  return doc;
-}
-
-void MetricsRegistry::render_prometheus(std::ostream& os) const {
-  os << "# qols telemetry compiled out (QOLS_TELEMETRY=OFF)\n";
-}
-
-#endif
 
 Value snapshot() { return MetricsRegistry::global().snapshot(); }
 

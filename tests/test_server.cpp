@@ -29,6 +29,7 @@
 #include "qols/server/session_broker.hpp"
 #include "qols/server/wire.hpp"
 #include "qols/service/recognizer_service.hpp"
+#include "qols/util/json.hpp"
 #include "qols/util/rng.hpp"
 #include "qols/util/serde.hpp"
 
@@ -767,6 +768,212 @@ TEST(SessionBroker, ResumeAdoptsAReleasedSessionWithExactVerdict) {
                          "resumed session");
 }
 
+// ---------------------------------------------------------------------------
+// STATS and METRICS: each instance exports its own counter set.
+
+/// Sends one payload-free request of `type` and returns the text of the
+/// single reply frame, which must be of type `reply`.
+std::string request_text(BrokerFixture& fx, wire::FrameType type,
+                         wire::FrameType reply) {
+  std::vector<std::uint8_t> bytes;
+  wire::append_frame(bytes, type, {});
+  EXPECT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
+  const auto frames = fx.drain_responses();
+  if (frames.size() != 1 || frames[0].first != reply) {
+    ADD_FAILURE() << "expected one " << wire::frame_type_name(reply);
+    return {};
+  }
+  return wire::read_text(frames[0].second);
+}
+
+/// The value of the exposition line for `series` (labels included).
+std::uint64_t series_value(const std::string& text, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const auto at = text.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no series " << series;
+    return ~std::uint64_t{0};
+  }
+  return std::stoull(text.substr(at + key.size()));
+}
+
+/// Asserts `json` (compact STATS text) holds "name":value for each field.
+void expect_json_fields(
+    const std::string& json,
+    const std::vector<std::pair<std::string, qols::util::json::Value>>&
+        fields) {
+  for (const auto& [name, value] : fields) {
+    const std::string member =
+        qols::util::json::Value::quote(name) + ":" + value.dump(0);
+    EXPECT_NE(json.find(member), std::string::npos)
+        << member << " missing from " << json;
+  }
+}
+
+TEST(SessionBroker, MetricsFrameCarriesRegistryAndServiceSections) {
+  qols::util::Rng rng(71);
+  const auto word = word_of(LDisjInstance::make_disjoint(2, rng));
+  BrokerFixture fx;
+  fx.do_hello();
+  std::vector<std::uint8_t> bytes;
+  wire::append_open(bytes, {1, 5});
+  wire::append_feed(bytes, 1, word);
+  ASSERT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
+  ASSERT_EQ(fx.drain_responses().size(), 1u);  // OPEN_OK; FEED is silent
+
+  const std::string text = request_text(fx, wire::FrameType::kMetrics,
+                                        wire::FrameType::kMetricsText);
+  // The two series perfbench's ledger parses out of this frame.
+  EXPECT_NE(text.find("\nqols_server_frames_in "), std::string::npos);
+  EXPECT_NE(text.find("qols_server_feed_frame_ns_bucket{le=\""),
+            std::string::npos);
+  // The service section is this instance's Stats, rendered once.
+  EXPECT_EQ(fx.svc.stats().symbols_ingested, word.size());
+  EXPECT_EQ(series_value(text, "qols_service_symbols_ingested"),
+            fx.svc.stats().symbols_ingested);
+  EXPECT_EQ(text.find("\nqols_service_symbols_ingested "),
+            text.rfind("\nqols_service_symbols_ingested "));
+  // Shard depths are labelled series that add up to the buffered backlog
+  // (the default threshold leaves the whole word buffered).
+  EXPECT_NE(text.find("\nqols_service_shard_queue_depth{shard=\"0\"} "),
+            std::string::npos);
+  std::uint64_t depth = 0;
+  for (std::size_t i = 0; i < fx.svc.shard_count(); ++i) {
+    depth += series_value(text, "qols_service_shard_queue_depth{shard=\"" +
+                                    std::to_string(i) + "\"}");
+  }
+  EXPECT_EQ(depth, fx.svc.buffered_symbols());
+  EXPECT_EQ(depth, word.size());
+}
+
+TEST(SessionBroker, MetricsSeriesArePerServiceInstance) {
+  // Two services in one process: each METRICS frame reports only its own
+  // evictions, never the process-wide sum.
+  BrokerFixture a;
+  BrokerFixture b;
+  a.do_hello();
+  b.do_hello();
+  for (std::uint64_t seed = 0; seed < 1; ++seed) a.svc.evict(a.svc.open(seed));
+  for (std::uint64_t seed = 0; seed < 3; ++seed) b.svc.evict(b.svc.open(seed));
+  const std::string ta =
+      request_text(a, wire::FrameType::kMetrics, wire::FrameType::kMetricsText);
+  const std::string tb =
+      request_text(b, wire::FrameType::kMetrics, wire::FrameType::kMetricsText);
+  EXPECT_EQ(series_value(ta, "qols_service_evictions"), 1u);
+  EXPECT_EQ(series_value(tb, "qols_service_evictions"), 3u);
+}
+
+TEST(SessionBroker, StatsFrameCarriesEveryServiceStatsField) {
+  qols::util::Rng rng(72);
+  const auto word = word_of(LDisjInstance::make_disjoint(2, rng));
+  const std::size_t half = word.size() / 2;
+  BrokerFixture fx;
+  fx.do_hello();
+  std::vector<std::uint8_t> bytes;
+  wire::append_open(bytes, {1, 5});
+  wire::append_open(bytes, {2, 6});
+  wire::append_feed(bytes, 1, std::span<const Symbol>(word.data(), half));
+  wire::append_feed(bytes, 2, word);
+  ASSERT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
+  fx.svc.flush();
+  fx.svc.feed_borrowed(1, std::span<const Symbol>(word.data() + half,
+                                                  word.size() - half));
+  fx.svc.evict(1);
+  bytes.clear();
+  wire::append_finish(bytes, {1});
+  wire::append_feed(bytes, 2, std::span<const Symbol>(word.data(), half));
+  ASSERT_EQ(fx.feed_bytes(bytes), SessionBroker::PumpResult::kIdle);
+  fx.drain_responses();
+
+  const std::string text =
+      request_text(fx, wire::FrameType::kStats, wire::FrameType::kStatsText);
+  const auto s = fx.svc.stats();
+  using qols::util::json::Value;
+  expect_json_fields(
+      text, {{"sessions_open", Value(std::uint64_t{fx.svc.open_sessions()})},
+             {"buffered_symbols", Value(fx.svc.buffered_symbols())},
+             {"sessions_opened", Value(s.sessions_opened)},
+             {"sessions_finished", Value(s.sessions_finished)},
+             {"symbols_ingested", Value(s.symbols_ingested)},
+             {"borrowed_chunks", Value(s.borrowed_chunks)},
+             {"flushes", Value(s.flushes)},
+             {"busy_seconds", Value(s.busy_seconds)},
+             {"evictions", Value(s.evictions)},
+             {"revives", Value(s.revives)},
+             {"spill_bytes_written", Value(s.spill_bytes_written)},
+             {"spill_bytes_read", Value(s.spill_bytes_read)},
+             {"migrations", Value(s.migrations)},
+             {"recovered_sessions", Value(s.recovered_sessions)}});
+  // The values are live, not zeros, and the field list has no extras.
+  EXPECT_EQ(s.borrowed_chunks, 1u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.revives, 1u);
+  EXPECT_EQ(fx.svc.buffered_symbols(), half);
+  std::size_t fields = 0;
+  s.for_each_field([&fields](const char*, auto) { ++fields; });
+  EXPECT_EQ(fields, 12u);
+}
+
+TEST(ServerLoopback, StatsAndMetricsCarryEveryServerCounter) {
+  qols::util::Rng rng(73);
+  const auto word = word_of(LDisjInstance::make_disjoint(2, rng));
+  Server::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  ServerRunner runner(cfg);
+  std::string metrics, stats;
+  std::size_t stats_reply_bytes = 0;
+  {
+    TestClient client(runner.port());
+    client.hello();
+    client.open(1, 3);
+    std::vector<std::uint8_t> bytes;
+    wire::append_feed(bytes, 1, word);
+    client.send_all(bytes);
+    client.finish(1);
+    for (const auto type :
+         {wire::FrameType::kMetrics, wire::FrameType::kStats}) {
+      bytes.clear();
+      wire::append_frame(bytes, type, {});
+      client.send_all(bytes);
+      const auto f = client.next_frame();
+      const bool is_stats = type == wire::FrameType::kStats;
+      ASSERT_EQ(f.type, is_stats ? wire::FrameType::kStatsText
+                                 : wire::FrameType::kMetricsText);
+      (is_stats ? stats : metrics) = wire::read_text(f.payload);
+      if (is_stats) {
+        stats_reply_bytes = wire::kFrameHeaderSize + f.payload.size();
+      }
+    }
+    // The drain closes this connection: after STATS was rendered, one more
+    // close and the STATS reply's own bytes moved the counters.
+    runner.stop();
+  }
+  const Server::Counters& c = runner.server().counters();
+  using qols::util::json::Value;
+  expect_json_fields(
+      stats,
+      {{"connections_accepted", Value(c.connections_accepted)},
+       {"connections_closed", Value(c.connections_closed - 1)},
+       {"accept_rejected", Value(c.accept_rejected)},
+       {"backpressure_pauses", Value(c.backpressure_pauses)},
+       {"sessions_abandoned", Value(c.sessions_abandoned)},
+       {"idle_evictions", Value(c.idle_evictions)},
+       {"bytes_in", Value(c.bytes_in)},
+       {"bytes_out", Value(c.bytes_out - stats_reply_bytes)},
+       {"sessions_persisted", Value(c.sessions_persisted)},
+       {"sessions_recovered",
+        Value(runner.server().service().stats().recovered_sessions)}});
+  EXPECT_EQ(c.connections_accepted, 1u);
+  EXPECT_GT(c.bytes_in, 0u);
+  std::size_t fields = 0;
+  c.for_each_field([&fields](const char*, std::uint64_t) { ++fields; });
+  EXPECT_EQ(fields, 9u);
+  // METRICS carries the same list as qols_server_<name> series.
+  EXPECT_EQ(series_value(metrics, "qols_server_connections_accepted"), 1u);
+  EXPECT_EQ(series_value(metrics, "qols_server_connections"), 1u);
+  EXPECT_EQ(series_value(metrics, "qols_service_sessions_finished"), 1u);
+}
+
 TEST(ServerLoopback, RaggedByteSplitsReproduceRunStream) {
   qols::util::Rng rng(17);
   const auto member = LDisjInstance::make_disjoint(2, rng);
@@ -1041,7 +1248,7 @@ TEST(ServerLoopback, DurableRestartResumesWithExactVerdicts) {
     // manifest, RESUME re-adopts each session, and the finished verdicts
     // are bit-identical to uninterrupted single-process runs.
     Server server(cfg);
-    EXPECT_EQ(server.counters().sessions_recovered, 2u);
+    EXPECT_EQ(server.service().stats().recovered_sessions, 2u);
     std::thread loop([&] { server.run(); });
     TestClient client(server.port());
     client.hello();

@@ -786,4 +786,44 @@ TEST(RecognizerService, EvictAndEvictedRaceFreeWithPoolFlushes) {
   }
 }
 
+TEST(RecognizerService, FeedRacingFlushKeepsShardDepthRaceFree) {
+  // feed() may race a flush() (the header contract). A shard's depth is
+  // written under its slot lock by feed(), but flush()'s early-out and
+  // buffered_symbols() read it without that lock — so it must be an
+  // atomic. TSan (the ThreadSanitizer CI job runs this binary) is the real
+  // assertion; the threshold never fires, so every drain here is the
+  // acceptor's flush() racing the feeder thread.
+  qols::util::ThreadPool pool(2);
+  RecognizerService::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  cfg.pool = &pool;
+  cfg.flush_threshold = std::uint64_t{1} << 40;
+  RecognizerService svc(cfg);
+  qols::util::Rng rng(91);
+  const auto word = word_of(LDisjInstance::make_disjoint(3, rng));
+  const auto id = svc.open(17);
+
+  std::atomic<bool> done{false};
+  std::thread feeder([&] {
+    feed_all(svc, id, word, 8);
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t peak = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    svc.flush();
+    peak = std::max(peak, svc.buffered_symbols());
+  }
+  feeder.join();
+  EXPECT_LE(peak, word.size());
+  svc.flush();
+  EXPECT_EQ(svc.buffered_symbols(), 0u);
+  EXPECT_EQ(svc.stats().symbols_ingested, word.size());
+
+  RecognizerSpec spec;
+  spec.kind = RecognizerKind::kClassicalBlock;
+  auto reference = spec.make(17);
+  reference->feed_chunk(word);
+  EXPECT_EQ(svc.finish(id).accepted, reference->finish());
+}
+
 }  // namespace
