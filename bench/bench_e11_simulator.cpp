@@ -109,9 +109,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
     const double secs = time_op(
         [&] {
           sv.apply_z_on_index(0, 2 * k, rng.next() & (m - 1), 2 * k);
-          sv.apply_h_range(0, 2 * k);
-          sv.apply_reflect_zero(0, 2 * k);
-          sv.apply_h_range(0, 2 * k);
+          sv.apply_grover_diffusion(0, 2 * k);
         },
         iters);
     grover.add_row({std::to_string(k), std::to_string(qubits),

@@ -16,7 +16,16 @@
 // Metric: amplitude-pair updates per second (one H on one qubit of a dim-D
 // register performs D/2 pair updates; a diffusion performs two H-ranges plus
 // a reflect-zero streaming pass), best-of-`--trials` individually timed
-// passes per row. Each row also reports index_gates_per_sec: the rate of
+// passes per row. Two diffusion columns:
+//
+//   - diffusion_pairs_per_sec: the H-range, reflect-zero, H-range composite,
+//     a bandwidth probe of the butterfly kernels (the claimed column);
+//   - grover_diffusion_pairs_per_sec: apply_grover_diffusion, the
+//     reflect-about-the-mean kernel the dense backend runs for A3, credited
+//     with the same pair count so the two columns compare directly (tracked,
+//     not claimed).
+//
+// Each row also reports index_gates_per_sec: the rate of
 // A3's per-bit oracle gates (apply_x_on_index + apply_z_on_index over every
 // index value), which touch O(1) amplitudes each and so measure addressing
 // cost rather than bandwidth. It is tracked, not claimed. The claim:
@@ -44,6 +53,7 @@ struct Row {
   std::string label;
   double hrange_pairs_per_sec = 0.0;
   double diffusion_pairs_per_sec = 0.0;
+  double grover_diffusion_pairs_per_sec = 0.0;
   double index_gates_per_sec = 0.0;
   double norm = 1.0;
 };
@@ -91,6 +101,16 @@ Row run_row(const std::string& label, quantum::SimdMode mode, unsigned k,
     row.diffusion_pairs_per_sec = best;
   }
   {
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      util::Stopwatch watch;
+      sv.apply_grover_diffusion(0, range);
+      const double secs = std::max(watch.seconds(), 1e-9);
+      best = std::max(best, diffusion_pairs / secs);
+    }
+    row.grover_diffusion_pairs_per_sec = best;
+  }
+  {
     // A3's streamed oracle gates: one V_x and one W_y per index value, each
     // touching O(1) amplitudes (2^(n - 2k - 1) = 2).
     const std::uint64_t indices = std::uint64_t{1} << range;
@@ -131,8 +151,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
       1024.0 * gate_passes * static_cast<double>(2.0 * k) * 0x1p-24;
 
   util::Table table({"row", "precision", "isa", "h_range pairs/s",
-                     "diffusion pairs/s", "index gates/s", "|norm-1|",
-                     "ok?"});
+                     "diffusion pairs/s", "grover diffusion pairs/s",
+                     "index gates/s", "|norm-1|", "ok?"});
   bool norms_ok = true;
   const Row* rows[] = {&scalar_double, &simd_double, &simd_float};
   for (const Row* r : rows) {
@@ -146,6 +166,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
                        r->hrange_pairs_per_sec)),
                    util::fmt_g(static_cast<std::uint64_t>(
                        r->diffusion_pairs_per_sec)),
+                   util::fmt_g(static_cast<std::uint64_t>(
+                       r->grover_diffusion_pairs_per_sec)),
                    util::fmt_g(static_cast<std::uint64_t>(
                        r->index_gates_per_sec)),
                    util::fmt_f(std::abs(r->norm - 1.0), 9),
@@ -168,6 +190,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
     m.extra.emplace_back("hrange_pairs_per_sec", r->hrange_pairs_per_sec);
     m.extra.emplace_back("diffusion_pairs_per_sec",
                          r->diffusion_pairs_per_sec);
+    m.extra.emplace_back("grover_diffusion_pairs_per_sec",
+                         r->grover_diffusion_pairs_per_sec);
     m.extra.emplace_back("index_gates_per_sec", r->index_gates_per_sec);
     m.extra.emplace_back("norm_drift", std::abs(r->norm - 1.0));
     if (r == &simd_float) {

@@ -12,7 +12,9 @@
 // why dense_state() — the double-reference escape hatch — returns nullptr
 // for the float instantiation.
 //
-// Cost model: one-qubit gates and the diffusion are O(2^n); the A3 fast
+// Cost model: one-qubit gates are O(2^n), and so is the diffusion, which
+// reflects each sector of the index register about its mean in one summing
+// and one writing pass (an H-range is O(count * 2^n)); the A3 fast
 // paths are O(2^{n - index width}) — two amplitudes or pairs per streamed
 // bit — addressed directly by subset iteration over the free qubits,
 // (base - free_mask) & free_mask, with no per-qubit loop. They perform
@@ -72,11 +74,7 @@ class DenseBackendT final : public QuantumBackend {
     static telemetry::SpanSite site =
         telemetry::SpanSite::resolve("quantum.diffusion");
     telemetry::TraceSpan span(site);
-    // U_k S_k U_k expanded exactly as GroverStreamer historically applied
-    // it, so dense results stay bit-identical to the pre-backend code.
-    state_.apply_h_range(first, count);
-    state_.apply_reflect_zero(first, count);
-    state_.apply_h_range(first, count);
+    state_.apply_grover_diffusion(first, count);
   }
   void apply_phase_flip_set(std::span<const std::uint64_t> marked) override {
     state_.apply_phase_flip_set(marked);

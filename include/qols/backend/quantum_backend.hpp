@@ -92,9 +92,11 @@ class QuantumBackend {
   virtual void apply_reflect_zero(unsigned first, unsigned count) = 0;
 
   /// The full Grover diffusion U_k S_k U_k = 2|u><u| - I on
-  /// [first, first+count), exposed as one composite so symmetry-aware
-  /// backends can apply it in O(#classes) without implementing a general
-  /// mid-state Hadamard transform.
+  /// [first, first+count), exposed as one composite: every backend applies
+  /// it as a reflection of the range's amplitudes about their mean, per
+  /// assignment of the other qubits — the dense backend in O(2^n), the
+  /// structured one in O(#classes) without a general mid-state Hadamard
+  /// transform.
   virtual void apply_grover_diffusion(unsigned first, unsigned count) = 0;
 
   /// Diagonal +-1 oracle given by its marked set: negates the amplitude of

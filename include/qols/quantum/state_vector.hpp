@@ -183,6 +183,15 @@ class StateVectorT {
   ///   |i> -> -|i| for i != 0, |0> -> |0>   (i.e. 2|0><0| - I on that range).
   void apply_reflect_zero(unsigned first, unsigned count);
 
+  /// The Grover diffusion U_k S_k U_k = 2|u><u| - I on [first, first+count)
+  /// (|u> uniform over the range), applied directly: for each assignment of
+  /// the qubits outside the range, the range's amplitudes reflect about
+  /// their mean, a -> 2 * mean - a. O(2^n), against O(count * 2^n) for the
+  /// H-range, reflect-zero, H-range expansion it equals up to rounding. The
+  /// means are summed in double in a fixed order, so the result is
+  /// bit-identical on the scalar and AVX2 paths. Runs serially.
+  void apply_grover_diffusion(unsigned first, unsigned count);
+
   /// Diagonal +-1 oracle given explicitly by its marked set: negates the
   /// amplitude of every listed basis state. Cost O(|marked|).
   void apply_phase_flip_set(std::span<const std::uint64_t> marked);

@@ -171,6 +171,9 @@ class Server {
   bool draining_ = false;
   std::uint64_t drain_deadline_ms_ = 0;
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  /// recv() target shared by every connection: the broker copies what it
+  /// ingests, so the loop allocates this once, not per EPOLLIN event.
+  std::unique_ptr<std::uint8_t[]> read_buf_;
   Counters counters_;
 };
 

@@ -86,11 +86,7 @@ DisjOutcome disj_bcw_quantum(const util::BitVec& x, const util::BitVec& y,
       if (y.get(i)) reg.apply_cx_on_index(0, 2 * k, i, h, l);
     }
   };
-  auto alice_diffusion = [&] {
-    reg.apply_h_range(0, 2 * k);
-    reg.apply_reflect_zero(0, 2 * k);
-    reg.apply_h_range(0, 2 * k);
-  };
+  auto alice_diffusion = [&] { reg.apply_grover_diffusion(0, 2 * k); };
 
   // BBHT: iteration count j uniform in {0, ..., 2^k - 1}.
   const std::uint64_t j = rng.below(std::uint64_t{1} << k);

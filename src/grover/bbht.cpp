@@ -43,9 +43,7 @@ BbhtResult bbht_search(std::uint64_t n_items,
     for (std::uint64_t it = 0; it < j; ++it) {
       // Phase oracle: flip the sign of every marked index.
       reg.apply_phase_flip_set(marked);
-      reg.apply_h_range(0, index_qubits);
-      reg.apply_reflect_zero(0, index_qubits);
-      reg.apply_h_range(0, index_qubits);
+      reg.apply_grover_diffusion(0, index_qubits);
       ++result.oracle_calls;
     }
     const std::uint64_t outcome = reg.sample_basis(rng);

@@ -206,7 +206,141 @@ double prob_run_scalar(const S* __restrict__ r, const S* __restrict__ im,
   return acc;
 }
 
+// Sector sums of the Grover diffusion. Unlike prob_run, a sum here feeds
+// back into every amplitude of its sector, so its summation order is part of
+// the result and must not depend on the ISA. Both paths share one layout:
+// element j of a run adds (in double, for both scalar types) into lane
+// j % kSumLanes of its component, lanes start at zero for every run, and
+// fold_lanes combines them in one fixed order. The AVX2 forms put the same
+// elements into the same lanes (lanes 0-3 and 4-7 are two 4-double
+// accumulators), so a sum is bit-identical on both paths.
+constexpr std::size_t kSumLanes = 8;
+
+inline double fold_lanes(const double* l) {
+  return ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]));
+}
+
+// Sums of r[j * step] and im[j * step] over j in [0, n).
+template <typename S>
+void sum_run_scalar(const S* __restrict__ r, const S* __restrict__ im,
+                    std::size_t n, std::size_t step, double& sum_re,
+                    double& sum_im) {
+  double lr[kSumLanes] = {};
+  double li[kSumLanes] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    lr[j % kSumLanes] += static_cast<double>(r[j * step]);
+    li[j % kSumLanes] += static_cast<double>(im[j * step]);
+  }
+  sum_re = fold_lanes(lr);
+  sum_im = fold_lanes(li);
+}
+
+// p[j * step] = m2 - p[j * step]: the reflection about the mean (m2 is twice
+// the mean, already rounded to S). One exactly rounded subtraction per
+// element, so every ISA gives the same bits. The AVX2 form is there for
+// speed alone: the compiler leaves this strided loop scalar, and at k = 5 a
+// diffusion took ~3.3 us with the AVX2 reflect against 10-14 us without.
+template <typename S>
+void reflect_run_scalar(S* __restrict__ p, std::size_t n, std::size_t step,
+                        S m2) {
+  for (std::size_t j = 0; j < n; ++j) p[j * step] = m2 - p[j * step];
+}
+
 #if QOLS_X86
+
+// Lanes 0-3 are in `lo`, lanes 4-7 in `hi`.
+__attribute__((target("avx2"))) inline double fold_lanes_avx2(__m256d lo,
+                                                              __m256d hi) {
+  alignas(32) double l[kSumLanes];
+  _mm256_store_pd(l, lo);
+  _mm256_store_pd(l + 4, hi);
+  return fold_lanes(l);
+}
+
+// Contiguous runs whose length is a multiple of kSumLanes (every sector of
+// eight or more amplitudes); anything else takes the scalar form.
+__attribute__((target("avx2"))) void sum_run_avx2(const double* __restrict__ r,
+                                                  const double* __restrict__ im,
+                                                  std::size_t n,
+                                                  std::size_t step,
+                                                  double& sum_re,
+                                                  double& sum_im) {
+  if (step != 1 || n % kSumLanes != 0) {
+    sum_run_scalar(r, im, n, step, sum_re, sum_im);
+    return;
+  }
+  __m256d r0 = _mm256_setzero_pd();
+  __m256d r1 = _mm256_setzero_pd();
+  __m256d i0 = _mm256_setzero_pd();
+  __m256d i1 = _mm256_setzero_pd();
+  for (std::size_t j = 0; j < n; j += kSumLanes) {
+    r0 = _mm256_add_pd(r0, _mm256_loadu_pd(r + j));
+    r1 = _mm256_add_pd(r1, _mm256_loadu_pd(r + j + 4));
+    i0 = _mm256_add_pd(i0, _mm256_loadu_pd(im + j));
+    i1 = _mm256_add_pd(i1, _mm256_loadu_pd(im + j + 4));
+  }
+  sum_re = fold_lanes_avx2(r0, r1);
+  sum_im = fold_lanes_avx2(i0, i1);
+}
+
+__attribute__((target("avx2"))) void sum_run_avx2(const float* __restrict__ r,
+                                                  const float* __restrict__ im,
+                                                  std::size_t n,
+                                                  std::size_t step,
+                                                  double& sum_re,
+                                                  double& sum_im) {
+  if (step != 1 || n % kSumLanes != 0) {
+    sum_run_scalar(r, im, n, step, sum_re, sum_im);
+    return;
+  }
+  // One 8-float load widens into lanes 0-3 (low half) and 4-7 (high half).
+  __m256d r0 = _mm256_setzero_pd();
+  __m256d r1 = _mm256_setzero_pd();
+  __m256d i0 = _mm256_setzero_pd();
+  __m256d i1 = _mm256_setzero_pd();
+  for (std::size_t j = 0; j < n; j += kSumLanes) {
+    const __m256 a = _mm256_loadu_ps(r + j);
+    const __m256 b = _mm256_loadu_ps(im + j);
+    r0 = _mm256_add_pd(r0, _mm256_cvtps_pd(_mm256_castps256_ps128(a)));
+    r1 = _mm256_add_pd(r1, _mm256_cvtps_pd(_mm256_extractf128_ps(a, 1)));
+    i0 = _mm256_add_pd(i0, _mm256_cvtps_pd(_mm256_castps256_ps128(b)));
+    i1 = _mm256_add_pd(i1, _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1)));
+  }
+  sum_re = fold_lanes_avx2(r0, r1);
+  sum_im = fold_lanes_avx2(i0, i1);
+}
+
+__attribute__((target("avx2"))) void reflect_run_avx2(double* __restrict__ p,
+                                                      std::size_t n,
+                                                      std::size_t step,
+                                                      double m2) {
+  if (step != 1) {
+    reflect_run_scalar(p, n, step, m2);
+    return;
+  }
+  const __m256d v = _mm256_set1_pd(m2);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    _mm256_storeu_pd(p + j, _mm256_sub_pd(v, _mm256_loadu_pd(p + j)));
+  }
+  reflect_run_scalar(p + j, n - j, 1, m2);
+}
+
+__attribute__((target("avx2"))) void reflect_run_avx2(float* __restrict__ p,
+                                                      std::size_t n,
+                                                      std::size_t step,
+                                                      float m2) {
+  if (step != 1) {
+    reflect_run_scalar(p, n, step, m2);
+    return;
+  }
+  const __m256 v = _mm256_set1_ps(m2);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    _mm256_storeu_ps(p + j, _mm256_sub_ps(v, _mm256_loadu_ps(p + j)));
+  }
+  reflect_run_scalar(p + j, n - j, 1, m2);
+}
 
 __attribute__((target("avx2"))) void h_run_avx2(double* __restrict__ rlo,
                                                 double* __restrict__ rhi,
@@ -637,6 +771,34 @@ inline double prob_run(const S* r, const S* im, std::size_t n, bool avx2) {
   return prob_run_scalar(r, im, n);
 }
 
+template <typename S>
+inline void sum_run(const S* r, const S* im, std::size_t n, std::size_t step,
+                    double& sum_re, double& sum_im, bool avx2) {
+#if QOLS_X86
+  if (avx2) {
+    sum_run_avx2(r, im, n, step, sum_re, sum_im);
+    return;
+  }
+#else
+  (void)avx2;
+#endif
+  sum_run_scalar(r, im, n, step, sum_re, sum_im);
+}
+
+template <typename S>
+inline void reflect_run(S* p, std::size_t n, std::size_t step, S m2,
+                        bool avx2) {
+#if QOLS_X86
+  if (avx2) {
+    reflect_run_avx2(p, n, step, m2);
+    return;
+  }
+#else
+  (void)avx2;
+#endif
+  reflect_run_scalar(p, n, step, m2);
+}
+
 // ---------------------------------------------------------------------------
 // Iteration helpers.
 // ---------------------------------------------------------------------------
@@ -1021,6 +1183,41 @@ void StateVectorT<Scalar>::apply_reflect_zero(unsigned first, unsigned count) {
     util::parallel_for(0, n, kParallelGrain, body);
   }
   negate_matching(mask, 0);
+}
+
+// U S U = 2|u><u| - I on [first, first+count), applied as a reflection about
+// the mean: for each assignment of the other qubits (a "sector"), the
+// sector's 2^count amplitudes sum to s and each amplitude a becomes
+// 2s/2^count - a. That is one summing and one writing pass, O(2^n), where
+// the literal H-range, reflect-zero, H-range costs O(count * 2^n).
+//
+// The kernel runs serially on the calling thread, one sector at a time: A3's
+// registers (2^12 amplitudes at k = 5) sit below kParallelGrain, so pool
+// dispatch would buy nothing there. Each sum is one sum_run with the fixed
+// lane layout, so the result is the same on both ISAs and for every pool
+// size.
+template <typename Scalar>
+void StateVectorT<Scalar>::apply_grover_diffusion(unsigned first,
+                                                  unsigned count) {
+  assert(first + count <= num_qubits_);
+  if (count == 0) return;  // a one-state range: 2|u><u| - I = I
+  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
+  Scalar* re = re_.data();
+  Scalar* im = im_.data();
+  const std::size_t block = std::size_t{1} << count;  // amplitudes per sector
+  const std::size_t step = std::size_t{1} << first;   // their spacing
+  const double twice_inv = 2.0 / static_cast<double>(block);
+  for (std::size_t t = 0; t < (dim() >> count); ++t) {
+    // Sector t keeps t's low `first` bits; the rest move above the range.
+    const std::size_t base = ((t & ~(step - 1)) << count) | (t & (step - 1));
+    double sr = 0.0;
+    double si = 0.0;
+    sum_run(re + base, im + base, block, step, sr, si, avx2);
+    reflect_run(re + base, block, step, static_cast<Scalar>(sr * twice_inv),
+                avx2);
+    reflect_run(im + base, block, step, static_cast<Scalar>(si * twice_inv),
+                avx2);
+  }
 }
 
 template <typename Scalar>

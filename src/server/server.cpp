@@ -59,7 +59,9 @@ std::uint64_t Server::now_ms() noexcept {
           .count());
 }
 
-Server::Server(const Config& config) : config_(config) {
+Server::Server(const Config& config)
+    : config_(config),
+      read_buf_(std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk)) {
   service::RecognizerService::Config svc_cfg;
   svc_cfg.spec = config_.spec;
   svc_cfg.flush_threshold = config_.flush_threshold;
@@ -295,12 +297,11 @@ void Server::connection_ready(Connection& conn, std::uint32_t events,
     }
   }
   if ((events & EPOLLIN) != 0 && !conn.closing) {
-    std::vector<std::uint8_t> buf(kReadChunk);
     for (;;) {
-      const ssize_t n = ::recv(conn.fd, buf.data(), buf.size(), 0);
+      const ssize_t n = ::recv(conn.fd, read_buf_.get(), kReadChunk, 0);
       if (n > 0) {
         counters_.bytes_in += static_cast<std::uint64_t>(n);
-        conn.broker.ingest({buf.data(), static_cast<std::size_t>(n)});
+        conn.broker.ingest({read_buf_.get(), static_cast<std::size_t>(n)});
         pump_connection(conn, now);
         if (connections_.find(fd) == connections_.end()) return;
         if (conn.paused || conn.closing) return;  // backpressure: stop reading

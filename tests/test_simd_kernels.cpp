@@ -11,7 +11,9 @@
 // a machine without AVX2 replays a failure token to the same bits.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -222,6 +224,24 @@ StateVectorT<Scalar> random_state(unsigned n, Rng& rng) {
   return sv;
 }
 
+/// Random amplitudes spread over 2^-20..2^20: a sum of them rounds
+/// differently under almost any change of summation order, so bit-exactness
+/// checks on reductions see reordered additions that unit-range data hides.
+template <typename Scalar>
+StateVectorT<Scalar> wide_range_state(unsigned n, Rng& rng) {
+  StateVectorT<Scalar> sv(n);
+  std::vector<Scalar> re(sv.dim());
+  std::vector<Scalar> im(sv.dim());
+  for (std::size_t i = 0; i < sv.dim(); ++i) {
+    re[i] = static_cast<Scalar>(std::ldexp(
+        rng.uniform01() - 0.5, static_cast<int>(rng.below(41)) - 20));
+    im[i] = static_cast<Scalar>(std::ldexp(
+        rng.uniform01() - 0.5, static_cast<int>(rng.below(41)) - 20));
+  }
+  sv.load(std::move(re), std::move(im));
+  return sv;
+}
+
 /// Controls pinning [first, first + count) to `index`.
 std::vector<qols::quantum::ControlTerm> index_controls(unsigned first,
                                                        unsigned count,
@@ -290,6 +310,103 @@ TEST(SimdKernels, IndexGatesMatchPatternGatesBitExact) {
     qols::quantum::set_simd_mode(mode);
     run_index_gates_vs_pattern_gates<double>(rng);
     run_index_gates_vs_pattern_gates<float>(rng);
+  }
+}
+
+/// The H-range, reflect-zero, H-range expansion of the Grover diffusion,
+/// computed in double on `start`'s exactly-promoted amplitudes.
+template <typename Scalar>
+StateVectorT<double> hsh_reference(const StateVectorT<Scalar>& start,
+                                   unsigned first, unsigned count) {
+  StateVectorT<double> ref(start.num_qubits());
+  ref.load(std::vector<double>(start.re().begin(), start.re().end()),
+           std::vector<double>(start.im().begin(), start.im().end()));
+  ref.apply_h_range(first, count);
+  ref.apply_reflect_zero(first, count);
+  ref.apply_h_range(first, count);
+  return ref;
+}
+
+template <typename Scalar>
+void expect_near_reference(const StateVectorT<Scalar>& got,
+                           const StateVectorT<double>& ref, double tol,
+                           unsigned first, unsigned count) {
+  ASSERT_EQ(got.dim(), ref.dim());
+  for (std::size_t i = 0; i < got.dim(); ++i) {
+    ASSERT_NEAR(got.re()[i], ref.re()[i], tol)
+        << "re[" << i << "] first=" << first << " count=" << count;
+    ASSERT_NEAR(got.im()[i], ref.im()[i], tol)
+        << "im[" << i << "] first=" << first << " count=" << count;
+  }
+}
+
+// Reflect-about-the-mean is the H-range, reflect-zero, H-range product up to
+// rounding, on every layout: index ranges above qubit 0 (strided sectors),
+// the empty range (the identity) and the whole register. Double agrees
+// within 1e-12; float within the precision suite's per-pass tolerance
+// (64 ulps of 2^-24 per single-qubit pass of the expansion).
+template <typename Scalar>
+void run_grover_diffusion_vs_hsh(Rng& rng) {
+  for (unsigned n = 1; n <= 12; ++n) {
+    for (unsigned first = 0; first <= n; ++first) {
+      for (unsigned count = 0; first + count <= n; ++count) {
+        StateVectorT<Scalar> sv = random_state<Scalar>(n, rng);
+        const StateVectorT<double> ref = hsh_reference(sv, first, count);
+        sv.apply_grover_diffusion(first, count);
+        const double tol = std::is_same_v<Scalar, double>
+                               ? 1e-12
+                               : 64.0 * (2.0 * count + 1.0) * 0x1p-24;
+        expect_near_reference(sv, ref, tol, first, count);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GroverDiffusionMatchesHshOnEveryLayout) {
+  SimdModeGuard guard;
+  Rng rng(21);
+  for (const SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
+    if (mode == SimdMode::kAvx2 && !cpu_supports_avx2()) continue;
+    qols::quantum::set_simd_mode(mode);
+    run_grover_diffusion_vs_hsh<double>(rng);
+    run_grover_diffusion_vs_hsh<float>(rng);
+  }
+}
+
+// The sector means feed back into every amplitude, so their summation order
+// must not depend on the ISA: forced scalar and forced AVX2 produce the same
+// bits on every layout, including sectors of one, two and four amplitudes
+// (shorter than one vector) and sectors of up to 2^16 amplitudes.
+template <typename Scalar>
+void run_grover_diffusion_scalar_vs_avx2(unsigned n, unsigned first,
+                                         unsigned count, Rng& rng) {
+  const StateVectorT<Scalar> start = wide_range_state<Scalar>(n, rng);
+  StateVectorT<Scalar> scalar = start;
+  StateVectorT<Scalar> vectorized = start;
+  qols::quantum::set_simd_mode(SimdMode::kScalar);
+  scalar.apply_grover_diffusion(first, count);
+  qols::quantum::set_simd_mode(SimdMode::kAvx2);
+  vectorized.apply_grover_diffusion(first, count);
+  expect_bit_identical(scalar, vectorized);
+}
+
+TEST(SimdKernels, GroverDiffusionScalarVsAvx2BitExact) {
+  if (!cpu_supports_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  SimdModeGuard guard;
+  Rng rng(22);
+  for (unsigned n = 1; n <= 10; ++n) {
+    for (unsigned first = 0; first <= n; ++first) {
+      for (unsigned count = 0; first + count <= n; ++count) {
+        run_grover_diffusion_scalar_vs_avx2<double>(n, first, count, rng);
+        run_grover_diffusion_scalar_vs_avx2<float>(n, first, count, rng);
+      }
+    }
+  }
+  for (const auto& [first, count] :
+       {std::pair{0u, 16u}, std::pair{0u, 15u}, std::pair{0u, 4u},
+        std::pair{1u, 15u}, std::pair{3u, 11u}}) {
+    run_grover_diffusion_scalar_vs_avx2<double>(16, first, count, rng);
+    run_grover_diffusion_scalar_vs_avx2<float>(16, first, count, rng);
   }
 }
 
