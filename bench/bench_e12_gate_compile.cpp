@@ -8,6 +8,7 @@
 #include "qols/core/grover_streamer.hpp"
 #include "qols/gates/builder.hpp"
 #include "qols/lang/ldisj_instance.hpp"
+#include "qols/lang/structure_validator.hpp"
 #include "qols/util/table.hpp"
 #include "registry.hpp"
 
@@ -34,7 +35,9 @@ int run(Reporter& rep, const RunConfig& cfg) {
     // Definition 2.3's budget exponent: the machine's space bound s(|w|).
     // Our machine's total space is Theta(k); even with the tiny constant
     // here, gates ~ poly(n) << 2^{s} once n grows.
+    // A3 runs alone here, so its tape head's counters count too.
     const std::uint64_t space_bits =
+        lang::StructureValidator::classical_bits_for(k) +
         a3.classical_bits_used() + a3.qubits_used() + a3.ancilla_qubits_used();
     table.add_row(
         {std::to_string(k), util::fmt_g(inst.word_length()),

@@ -13,6 +13,7 @@
 #include "experiments.hpp"
 #include "qols/fingerprint/equality_checker.hpp"
 #include "qols/lang/ldisj_instance.hpp"
+#include "qols/lang/structure_validator.hpp"
 #include "qols/util/table.hpp"
 #include "registry.hpp"
 
@@ -24,7 +25,8 @@ double false_accept_rate(const std::string& word, unsigned q, int trials) {
   for (int i = 0; i < trials; ++i) {
     fingerprint::EqualityChecker a2{util::Rng(555 + i), q};
     stream::StringStream s(word);
-    while (auto sym = s.next()) a2.feed(*sym);
+    lang::StructureValidator tape;  // the head A2 reads through
+    while (auto sym = s.next()) tape.feed(*sym, a2);
     if (a2.passed()) ++slipped;
   }
   return slipped / static_cast<double>(trials);

@@ -36,6 +36,7 @@
 #include "qols/core/trial_engine.hpp"
 #include "qols/grover/analysis.hpp"
 #include "qols/lang/ldisj_instance.hpp"
+#include "qols/lang/structure_validator.hpp"
 #include "qols/util/stopwatch.hpp"
 #include "qols/util/table.hpp"
 #include "registry.hpp"
@@ -165,7 +166,9 @@ int run(Reporter& rep, const RunConfig& cfg) {
             core::TrialEngine::TrialOutcome out;
             out.accepted = run_structured_trial(k, marked, seed, nullptr);
             out.space.qubits = 2 * k + 2;
+            // A3 run alone: its tape head plus its own j and flags.
             out.space.classical_bits =
+                lang::StructureValidator::classical_bits_for(k) +
                 core::GroverStreamer::classical_bits_for(k);
             return out;
           },

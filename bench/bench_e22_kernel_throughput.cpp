@@ -16,7 +16,9 @@
 // Metric: amplitude-pair updates per second (one H on one qubit of a dim-D
 // register performs D/2 pair updates; a diffusion performs two H-ranges plus
 // a reflect-zero streaming pass), best-of-`--trials` individually timed
-// passes per row. Two diffusion columns:
+// passes per row. The claim's speedups are not a ratio of two rows' best
+// rates: scalar-double and simd-float passes alternate, and the gate reads
+// the median of 4 x `--trials` per-pair time ratios. Two diffusion columns:
 //
 //   - diffusion_pairs_per_sec: the H-range, reflect-zero, H-range composite,
 //     a bandwidth probe of the butterfly kernels (the claimed column);
@@ -39,6 +41,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "experiments.hpp"
 #include "qols/quantum/state_vector.hpp"
@@ -58,76 +61,85 @@ struct Row {
   double norm = 1.0;
 };
 
+/// One configuration's register and best-of rates. The claimed kernels are
+/// timed one pass per call, so two configurations can alternate pass by pass.
 template <typename Scalar>
-Row run_row(const std::string& label, quantum::SimdMode mode, unsigned k,
-            int reps) {
-  quantum::set_simd_mode(mode);
-  const unsigned range = 2 * k;
-  quantum::StateVectorT<Scalar> sv(range + 2);
-  const double dim = static_cast<double>(sv.dim());
-  const double hrange_pairs = static_cast<double>(range) * dim / 2.0;
-  // Diffusion = H-range, reflect-zero (one streaming negate pass + a cheap
-  // strided fixup), H-range.
-  const double diffusion_pairs = 2.0 * hrange_pairs + dim;
+class Config {
+ public:
+  Config(std::string label, quantum::SimdMode mode, unsigned k)
+      : mode_(mode), range_(2 * k), sv_(2 * k + 2) {
+    row.label = std::move(label);
+    const double dim = static_cast<double>(sv_.dim());
+    hrange_pairs_ = static_cast<double>(range_) * dim / 2.0;
+    // Diffusion = H-range, reflect-zero (one streaming negate pass + a cheap
+    // strided fixup), H-range.
+    diffusion_pairs_ = 2.0 * hrange_pairs_ + dim;
+    quantum::set_simd_mode(mode_);
+    sv_.apply_h_range(0, range_);  // warm-up: touch every page once
+  }
 
-  Row row;
-  row.label = label;
-  sv.apply_h_range(0, range);  // warm-up: touch every page once
-  // Each rep is timed on its own and the row reports the best rate.
-  // Sustained-throughput kernels on a shared machine are measured
-  // best-of-N, not averaged: one scheduler preemption or turbo shift
-  // inside a single aggregate window would otherwise skew the whole row
-  // (and the claim is a ratio of two such windows).
-  {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      util::Stopwatch watch;
-      sv.apply_h_range(0, range);
-      const double secs = std::max(watch.seconds(), 1e-9);
-      best = std::max(best, hrange_pairs / secs);
-    }
-    row.hrange_pairs_per_sec = best;
+  /// One timed H-range pass; returns its seconds.
+  double time_hrange() {
+    return timed(row.hrange_pairs_per_sec, hrange_pairs_,
+                 [&] { sv_.apply_h_range(0, range_); });
   }
-  {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      util::Stopwatch watch;
-      sv.apply_h_range(0, range);
-      sv.apply_reflect_zero(0, range);
-      sv.apply_h_range(0, range);
-      const double secs = std::max(watch.seconds(), 1e-9);
-      best = std::max(best, diffusion_pairs / secs);
-    }
-    row.diffusion_pairs_per_sec = best;
+  /// One timed H-range, reflect-zero, H-range composite; returns seconds.
+  double time_diffusion() {
+    return timed(row.diffusion_pairs_per_sec, diffusion_pairs_, [&] {
+      sv_.apply_h_range(0, range_);
+      sv_.apply_reflect_zero(0, range_);
+      sv_.apply_h_range(0, range_);
+    });
   }
-  {
-    double best = 0.0;
+
+  /// The tracked columns, best of `reps` passes each, then the norm.
+  void finish(int reps) {
     for (int r = 0; r < reps; ++r) {
-      util::Stopwatch watch;
-      sv.apply_grover_diffusion(0, range);
-      const double secs = std::max(watch.seconds(), 1e-9);
-      best = std::max(best, diffusion_pairs / secs);
+      timed(row.grover_diffusion_pairs_per_sec, diffusion_pairs_,
+            [&] { sv_.apply_grover_diffusion(0, range_); });
     }
-    row.grover_diffusion_pairs_per_sec = best;
-  }
-  {
     // A3's streamed oracle gates: one V_x and one W_y per index value, each
     // touching O(1) amplitudes (2^(n - 2k - 1) = 2).
-    const std::uint64_t indices = std::uint64_t{1} << range;
-    double best = 0.0;
+    const std::uint64_t indices = std::uint64_t{1} << range_;
     for (int r = 0; r < reps; ++r) {
-      util::Stopwatch watch;
-      for (std::uint64_t idx = 0; idx < indices; ++idx) {
-        sv.apply_x_on_index(0, range, idx, range);
-        sv.apply_z_on_index(0, range, idx, range);
-      }
-      const double secs = std::max(watch.seconds(), 1e-9);
-      best = std::max(best, 2.0 * static_cast<double>(indices) / secs);
+      timed(row.index_gates_per_sec, 2.0 * static_cast<double>(indices), [&] {
+        for (std::uint64_t idx = 0; idx < indices; ++idx) {
+          sv_.apply_x_on_index(0, range_, idx, range_);
+          sv_.apply_z_on_index(0, range_, idx, range_);
+        }
+      });
     }
-    row.index_gates_per_sec = best;
+    row.norm = sv_.norm();
   }
-  row.norm = sv.norm();
-  return row;
+
+  Row row;
+
+ private:
+  // Each pass is timed on its own and the row keeps the best rate:
+  // sustained-throughput kernels on a shared machine are measured best-of-N,
+  // not averaged, so one scheduler preemption or turbo shift does not skew
+  // the whole row.
+  template <typename F>
+  double timed(double& best_rate, double work, F&& pass) {
+    quantum::set_simd_mode(mode_);
+    util::Stopwatch watch;
+    pass();
+    const double secs = std::max(watch.seconds(), 1e-9);
+    best_rate = std::max(best_rate, work / secs);
+    return secs;
+  }
+
+  quantum::SimdMode mode_;
+  unsigned range_;
+  quantum::StateVectorT<Scalar> sv_;
+  double hrange_pairs_ = 0.0;
+  double diffusion_pairs_ = 0.0;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 != 0 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 int run(Reporter& rep, const RunConfig& cfg) {
@@ -138,10 +150,37 @@ int run(Reporter& rep, const RunConfig& cfg) {
       avx2 ? quantum::SimdMode::kAvx2 : quantum::SimdMode::kAuto;
 
   const quantum::SimdMode saved = quantum::requested_simd_mode();
-  const Row scalar_double =
-      run_row<double>("scalar-double", quantum::SimdMode::kScalar, k, reps);
-  const Row simd_double = run_row<double>("simd-double", simd_mode, k, reps);
-  const Row simd_float = run_row<float>("simd-float", simd_mode, k, reps);
+  Row simd_double;
+  {
+    Config<double> config("simd-double", simd_mode, k);
+    for (int r = 0; r < reps; ++r) config.time_hrange();
+    for (int r = 0; r < reps; ++r) config.time_diffusion();
+    config.finish(reps);
+    simd_double = config.row;
+  }
+  // The claim is a ratio of two timings on a possibly shared host, so the
+  // scalar-double and simd-float passes alternate and the gate reads the
+  // median of the per-pair ratios: a slow patch of the host lands in one
+  // pair, not in one whole row. Single pairs spread about +-0.3 around the
+  // ~2.3x mean on a shared 4-vCPU guest, so the median takes 4 pairs per
+  // trial to stay clear of the bound.
+  const int pairs = 4 * reps;
+  std::vector<double> h_ratios;
+  std::vector<double> d_ratios;
+  Row scalar_double;
+  Row simd_float;
+  {
+    Config<double> sd("scalar-double", quantum::SimdMode::kScalar, k);
+    Config<float> sf("simd-float", simd_mode, k);
+    for (int r = 0; r < pairs; ++r) {
+      h_ratios.push_back(sd.time_hrange() / sf.time_hrange());
+      d_ratios.push_back(sd.time_diffusion() / sf.time_diffusion());
+    }
+    sd.finish(reps);
+    sf.finish(reps);
+    scalar_double = sd.row;
+    simd_float = sf.row;
+  }
   quantum::set_simd_mode(saved);
 
   // Norm tolerance: double rows sit at 1 within ~1e-12; the float register
@@ -175,12 +214,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
   }
   rep.table(table);
 
-  const double h_speedup =
-      simd_float.hrange_pairs_per_sec /
-      std::max(scalar_double.hrange_pairs_per_sec, 1e-9);
-  const double d_speedup =
-      simd_float.diffusion_pairs_per_sec /
-      std::max(scalar_double.diffusion_pairs_per_sec, 1e-9);
+  const double h_speedup = median(h_ratios);
+  const double d_speedup = median(d_ratios);
 
   for (const Row* r : rows) {
     MetricRecord m;
@@ -209,7 +244,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
   bool claim_ok = true;
   if (optimized && avx2) {
     claim_ok = h_speedup >= 2.0 && d_speedup >= 2.0;
-    rep.note("simd-float vs scalar-double: h_range " +
+    rep.note("simd-float vs scalar-double, median of " +
+             std::to_string(pairs) + " alternating pairs: h_range " +
              util::fmt_f(h_speedup, 2) + "x, diffusion " +
              util::fmt_f(d_speedup, 2) + "x (claim: both >= 2x). " +
              (claim_ok ? "Held." : "FAILED."));

@@ -7,6 +7,7 @@
 #include "experiments.hpp"
 #include "qols/fingerprint/equality_checker.hpp"
 #include "qols/lang/ldisj_instance.hpp"
+#include "qols/lang/structure_validator.hpp"
 #include "qols/util/modmath.hpp"
 #include "qols/util/table.hpp"
 #include "registry.hpp"
@@ -23,7 +24,8 @@ double measured_false_accept(unsigned k, int trials, util::Rng& rng) {
   for (int i = 0; i < trials; ++i) {
     fingerprint::EqualityChecker a2{util::Rng(31337 + i)};
     stream::StringStream s(word);
-    while (auto sym = s.next()) a2.feed(*sym);
+    lang::StructureValidator tape;  // the head A2 reads through
+    while (auto sym = s.next()) tape.feed(*sym, a2);
     if (a2.passed()) ++slipped;
   }
   return slipped / static_cast<double>(trials);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "qols/fingerprint/equality_checker.hpp"
@@ -20,6 +21,73 @@
 
 namespace qols::core {
 
+namespace detail {
+
+/// What the four classical machines share: one tape head (A1's cursor,
+/// which also drives everything else), A2 beside it, and the verdict "shape
+/// (i) holds, A2 passed, and the body found no intersection". `Body` adds its
+/// repetition logic as prefix(k), run(rep, block, offset, run) and
+/// block_end(rep, block), each called after A2 saw the same event (see
+/// lang::StructureValidator for what the events mean).
+template <typename Body>
+class ClassicalFrame : public machine::OnlineRecognizer {
+ public:
+  void feed(stream::Symbol s) final {
+    feed_chunk(std::span<const stream::Symbol>(&s, 1));
+  }
+  /// One pass: the cursor scans the chunk once and hands each data run to
+  /// A2 and the body in bulk — bit-identical to per-symbol feeding.
+  void feed_chunk(std::span<const stream::Symbol> chunk) final {
+    a1_.feed_chunk(chunk, *this);
+  }
+  bool finish() final { return a1_.finish() && a2_->passed() && !found_; }
+
+ protected:
+  /// Rearms the tape head and A2 (drawing from `rng`'s next split).
+  void reset_frame(util::Rng& rng) {
+    a1_ = lang::StructureValidator();
+    a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
+    found_ = false;
+  }
+  /// A1's counters, A2's field elements and the found flag.
+  std::uint64_t frame_bits() const noexcept {
+    return a1_.classical_bits_used() + a2_->classical_bits_used() + 1;
+  }
+  void frame_to(util::serde::ByteWriter& w) const {
+    a1_.snapshot_to(w);
+    a2_->snapshot_to(w);
+    w.b(found_);
+  }
+  void frame_from(util::serde::ByteReader& r) {
+    a1_.restore_from(r);
+    a2_->restore_from(r);
+    found_ = r.b();
+  }
+
+  lang::StructureValidator a1_;
+  std::unique_ptr<fingerprint::EqualityChecker> a2_;
+  bool found_ = false;  // the body saw an intersection
+
+ private:
+  friend class lang::StructureValidator;
+  void on_prefix(unsigned k) {
+    a2_->on_prefix(k);
+    body().prefix(k);
+  }
+  void on_run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+              std::span<const stream::Symbol> run) {
+    a2_->on_run(rep, block, offset, run);
+    body().run(rep, block, offset, run);
+  }
+  void on_block_end(std::uint64_t rep, unsigned block) {
+    a2_->on_block_end(rep, block);
+    body().block_end(rep, block);
+  }
+  Body& body() { return static_cast<Body&>(*this); }
+};
+
+}  // namespace detail
+
 /// Proposition 3.7: in repetition i the machine buffers block [x]_i (the
 /// 2^k bits of x at offsets [i*2^k, (i+1)*2^k)) while streaming the x-block,
 /// then matches them against the same offsets of the y-block. Repetition i
@@ -28,16 +96,11 @@ namespace qols::core {
 /// machine ("the same classical techniques", per the proof).
 ///
 /// Error: one-sided, <= 2^{-2k} (only A2 can err). Space: Theta(2^k) bits.
-class ClassicalBlockRecognizer final : public machine::OnlineRecognizer {
+class ClassicalBlockRecognizer final
+    : public detail::ClassicalFrame<ClassicalBlockRecognizer> {
  public:
   explicit ClassicalBlockRecognizer(std::uint64_t seed);
 
-  void feed(stream::Symbol s) override;
-  /// Vectorized hot path: A1/A2 consume the chunk in bulk, and runs of data
-  /// bits touch only their overlap with the repetition's 2^k-bit window —
-  /// decisions stay bit-identical to per-symbol feeding.
-  void feed_chunk(std::span<const stream::Symbol> chunk) override;
-  bool finish() override;
   void reset(std::uint64_t seed) override;
   machine::SpaceReport space_used() const override;
   std::string name() const override { return "classical-block"; }
@@ -47,36 +110,22 @@ class ClassicalBlockRecognizer final : public machine::OnlineRecognizer {
   bool intersection_found() const noexcept { return found_; }
 
  private:
-  void on_own_symbol(stream::Symbol s);
-  void on_body_symbol(stream::Symbol s);
-  void on_body_run(const stream::Symbol* data, std::uint64_t len);
+  friend class detail::ClassicalFrame<ClassicalBlockRecognizer>;
+  void prefix(unsigned k);
+  void run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+           std::span<const stream::Symbol> bits);
+  void block_end(std::uint64_t, unsigned) {}
 
-  lang::StructureValidator a1_;
-  std::unique_ptr<fingerprint::EqualityChecker> a2_;
-
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
-  bool active_ = false;
-  std::uint64_t m_ = 0;
-  std::uint64_t block_len_ = 0;  // 2^k
-  std::uint64_t rep_ = 0;
-  unsigned block_ = 0;
-  std::uint64_t off_ = 0;
   util::BitVec buffer_;  // the 2^k buffered bits of block [x]_rep
-  bool found_ = false;
 };
 
 /// Baseline that stores all of x(1) (m = 2^{2k} bits = Theta(n^{2/3})) and
 /// checks y(1) against it directly; A1/A2 still validate the rest.
-class ClassicalFullRecognizer final : public machine::OnlineRecognizer {
+class ClassicalFullRecognizer final
+    : public detail::ClassicalFrame<ClassicalFullRecognizer> {
  public:
   explicit ClassicalFullRecognizer(std::uint64_t seed);
 
-  void feed(stream::Symbol s) override;
-  /// Vectorized: only repetition 0 reads or writes x, so later repetitions
-  /// reduce to counter arithmetic per run.
-  void feed_chunk(std::span<const stream::Symbol> chunk) override;
-  bool finish() override;
   void reset(std::uint64_t seed) override;
   machine::SpaceReport space_used() const override;
   std::string name() const override { return "classical-full"; }
@@ -84,20 +133,13 @@ class ClassicalFullRecognizer final : public machine::OnlineRecognizer {
   void restore(std::span<const std::uint8_t> bytes) override;
 
  private:
-  void on_own_symbol(stream::Symbol s);
-  void on_body_run(const stream::Symbol* data, std::uint64_t len);
-  lang::StructureValidator a1_;
-  std::unique_ptr<fingerprint::EqualityChecker> a2_;
+  friend class detail::ClassicalFrame<ClassicalFullRecognizer>;
+  void prefix(unsigned k);
+  void run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+           std::span<const stream::Symbol> bits);
+  void block_end(std::uint64_t, unsigned) {}
 
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
-  bool active_ = false;
-  std::uint64_t m_ = 0;
-  std::uint64_t rep_ = 0;
-  unsigned block_ = 0;
-  std::uint64_t off_ = 0;
   util::BitVec x_;
-  bool found_ = false;
 };
 
 /// Small-space strategy #1: per repetition, sample `budget` uniformly random
@@ -105,15 +147,11 @@ class ClassicalFullRecognizer final : public machine::OnlineRecognizer {
 /// same indices. Space O(budget * log m). Misses an intersection of size t
 /// with probability about (1 - t/m)^{budget * 2^k} — for budget = O(log m)
 /// this tends to 1, as Theorem 3.6 demands of any o(sqrt m)-space machine.
-class ClassicalSamplingRecognizer final : public machine::OnlineRecognizer {
+class ClassicalSamplingRecognizer final
+    : public detail::ClassicalFrame<ClassicalSamplingRecognizer> {
  public:
   ClassicalSamplingRecognizer(std::uint64_t seed, std::uint64_t budget);
 
-  void feed(stream::Symbol s) override;
-  /// Vectorized: a run of data bits visits only the sampled indices that
-  /// fall inside it (the sorted sample makes that a cursor sweep).
-  void feed_chunk(std::span<const stream::Symbol> chunk) override;
-  bool finish() override;
   void reset(std::uint64_t seed) override;
   machine::SpaceReport space_used() const override;
   std::string name() const override { return "classical-sample"; }
@@ -121,26 +159,18 @@ class ClassicalSamplingRecognizer final : public machine::OnlineRecognizer {
   void restore(std::span<const std::uint8_t> bytes) override;
 
  private:
+  friend class detail::ClassicalFrame<ClassicalSamplingRecognizer>;
+  void prefix(unsigned k);
+  void run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+           std::span<const stream::Symbol> bits);
+  void block_end(std::uint64_t rep, unsigned block);
   void draw_indices();
-  void on_own_symbol(stream::Symbol s);
-  void on_body_run(const stream::Symbol* data, std::uint64_t len);
 
   util::Rng rng_;
   std::uint64_t budget_;
-  lang::StructureValidator a1_;
-  std::unique_ptr<fingerprint::EqualityChecker> a2_;
-
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
-  bool active_ = false;
-  std::uint64_t m_ = 0;
-  std::uint64_t rep_ = 0;
-  unsigned block_ = 0;
-  std::uint64_t off_ = 0;
   std::vector<std::uint64_t> indices_;  // sorted sample for this repetition
   std::vector<bool> xbits_;             // x's bits at those indices
-  std::size_t cursor_ = 0;              // sweep position into indices_
-  bool found_ = false;
+  std::size_t next_sample_ = 0;         // sweep position into indices_
 };
 
 /// Small-space strategy #2: a Bloom filter over the 1-positions of x(1);
@@ -149,7 +179,8 @@ class ClassicalSamplingRecognizer final : public machine::OnlineRecognizer {
 /// positive rate approaches 1 and disjoint inputs get rejected too — the
 /// machine trades soundness for completeness and still fails the
 /// bounded-error requirement, again as the lower bound predicts.
-class ClassicalBloomRecognizer final : public machine::OnlineRecognizer {
+class ClassicalBloomRecognizer final
+    : public detail::ClassicalFrame<ClassicalBloomRecognizer> {
  public:
   /// Throws std::invalid_argument when filter_bits == 0 (the hash range
   /// would be empty). num_hashes == 0 is legal but degenerate: the
@@ -158,12 +189,6 @@ class ClassicalBloomRecognizer final : public machine::OnlineRecognizer {
   ClassicalBloomRecognizer(std::uint64_t seed, std::uint64_t filter_bits,
                            unsigned num_hashes);
 
-  void feed(stream::Symbol s) override;
-  /// Vectorized: the filter is built/probed in repetition 0 only; every
-  /// later repetition reduces to counter arithmetic per run, and within
-  /// repetition 0 only one-bits hash.
-  void feed_chunk(std::span<const stream::Symbol> chunk) override;
-  bool finish() override;
   void reset(std::uint64_t seed) override;
   machine::SpaceReport space_used() const override;
   std::string name() const override { return "classical-bloom"; }
@@ -171,25 +196,17 @@ class ClassicalBloomRecognizer final : public machine::OnlineRecognizer {
   void restore(std::span<const std::uint8_t> bytes) override;
 
  private:
+  friend class detail::ClassicalFrame<ClassicalBloomRecognizer>;
+  void prefix(unsigned k);
+  void run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+           std::span<const stream::Symbol> bits);
+  void block_end(std::uint64_t, unsigned) {}
   std::uint64_t hash(std::uint64_t index, unsigned which) const noexcept;
-  void on_own_symbol(stream::Symbol s);
-  void on_body_run(const stream::Symbol* data, std::uint64_t len);
 
   std::uint64_t seed_ = 0;
   std::uint64_t filter_bits_;
   unsigned num_hashes_;
-  lang::StructureValidator a1_;
-  std::unique_ptr<fingerprint::EqualityChecker> a2_;
-
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
-  bool active_ = false;
-  std::uint64_t m_ = 0;
-  std::uint64_t rep_ = 0;
-  unsigned block_ = 0;
-  std::uint64_t off_ = 0;
   util::BitVec filter_;
-  bool hit_ = false;
 };
 
 }  // namespace qols::core

@@ -38,6 +38,7 @@
 
 #include "qols/backend/quantum_backend.hpp"
 #include "qols/gates/builder.hpp"
+#include "qols/lang/structure_validator.hpp"
 #include "qols/stream/symbol_stream.hpp"
 #include "qols/util/rng.hpp"
 
@@ -86,15 +87,25 @@ class GroverStreamer {
   explicit GroverStreamer(util::Rng rng);
   GroverStreamer(util::Rng rng, Options opts);
 
-  /// Consumes one symbol of the word (same stream as A1/A2).
-  void feed(stream::Symbol s);
+  /// Events of the tape head A3 reads through (lang::StructureValidator).
+  /// Inside QuantumOnlineRecognizer the recognizer's cursor drives them, so
+  /// A1, A2 and A3 share one pass over each chunk. The prefix resolves the
+  /// backend and draws j; in a run, zero bits are skipped eight per word
+  /// load and each one-bit emits its gate; a block end may apply the
+  /// diffusion. Everything after step 4 is ignored.
+  void on_prefix(unsigned k);
+  void on_run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+              std::span<const stream::Symbol> run);
+  void on_block_end(std::uint64_t rep, unsigned block);
 
-  /// Consumes a run of symbols; identical register evolution and RNG
-  /// consumption to per-symbol feeding. Zero bits only advance the offset
-  /// counter, so they are skipped eight per word load, and the
-  /// post-measurement tail is ignored wholesale; one-bits still emit their
-  /// gate individually.
-  void feed_chunk(std::span<const stream::Symbol> chunk);
+  /// A3 run alone (experiments, gate-level tapes): the streamer drives a
+  /// tape head of its own. Chunked feeding gives the register evolution and
+  /// RNG consumption of per-symbol feeding; words that break shape (i) stop
+  /// reaching A3 where A1 would reject them.
+  void feed(stream::Symbol s) { tape_.feed(s, *this); }
+  void feed_chunk(std::span<const stream::Symbol> chunk) {
+    tape_.feed_chunk(chunk, *this);
+  }
 
   /// A3's output: 1 if the measured ancilla was 0 ("looks disjoint"),
   /// 0 otherwise, kNotSimulated if the register exceeded every backend
@@ -122,13 +133,15 @@ class GroverStreamer {
   /// Compiler ancillas on top (gate-level mode only).
   std::uint64_t ancilla_qubits_used() const noexcept;
 
-  /// Classical work bits: the prefix counter, j, repetition and offset
-  /// counters — O(k) total.
+  /// Classical work bits A3 adds to the tape head it reads through: j and
+  /// two control flags, O(k). The k, repetition and offset counters are the
+  /// tape head's (lang::StructureValidator::classical_bits_used()).
   std::uint64_t classical_bits_used() const noexcept;
 
   /// The same accounting as classical_bits_used() for a hypothetical run at
-  /// depth k — the single source of truth for A3's classical footprint
-  /// (experiment E19 reports it for runs it drives at backend level).
+  /// depth k — the single source of truth for A3's own classical footprint
+  /// (experiment E19 adds the tape head's for runs it drives at backend
+  /// level).
   static std::uint64_t classical_bits_for(unsigned k) noexcept;
 
   /// Total {H,T,CNOT} gates emitted (gate-level mode only).
@@ -139,8 +152,10 @@ class GroverStreamer {
   /// NOT part of the snapshot wire format — a revived session restarts it.
   std::uint64_t gates_applied() const noexcept { return gates_applied_; }
 
-  /// Serializes the full streamer state — control fields, RNG, and the
-  /// backend register via QuantumBackend::serialize_state. Refuses (throws
+  /// Serializes A3's state — control fields, RNG, and the backend register
+  /// via QuantumBackend::serialize_state. The tape head is its owner's to
+  /// serialize (the recognizer's cursor; a standalone streamer's own head is
+  /// not included). Refuses (throws
   /// backend::UnsupportedOperation) in gate-level mode: the external
   /// GateSink's position cannot be captured here.
   void snapshot_to(util::serde::ByteWriter& w) const;
@@ -161,23 +176,18 @@ class GroverStreamer {
   }
 
  private:
-  void on_bit(bool bit);
-  void on_sep();
+  void on_one(bool grover_phase, unsigned block, std::uint64_t idx);
   void apply_diffusion();
 
   util::Rng rng_;
   Options opts_;
+  lang::StructureValidator tape_;  // drives feed()/feed_chunk() only
 
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
+  unsigned k_ = 0;        // from the prefix; fixes the register geometry
   bool active_ = false;   // simulating (shape plausible, k within range)
   bool overflow_ = false; // k exceeded every ceiling: cannot simulate honestly
 
-  std::uint64_t m_ = 0;     // 2^{2k}
   std::uint64_t j_ = 0;     // Grover iterations to run
-  std::uint64_t rep_ = 0;   // 0-based repetition index
-  unsigned block_ = 0;      // 0 = x, 1 = y, 2 = z
-  std::uint64_t off_ = 0;   // offset within the current block
   bool done_ = false;       // step 4 finished; ignore the rest
   std::uint64_t gates_applied_ = 0;  // telemetry only; never serialized
 

@@ -46,15 +46,22 @@ class QuantumOnlineRecognizer final : public machine::OnlineRecognizer {
   QuantumOnlineRecognizer(std::uint64_t seed, Options opts);
 
   void feed(stream::Symbol s) override;
-  /// Chunked ingestion: A1/A2/A3 each consume the run in bulk (they are
-  /// independent machines running in parallel on the same tape, so feeding
-  /// order across them is immaterial). Bit-identical to per-symbol feeding.
+  /// Chunked ingestion through the machine's one tape head: A1's cursor
+  /// scans the chunk once and hands each run of data bits to A2 and A3 in
+  /// bulk, as the paper's machine runs A1 || A2 || A3 over one input head.
+  /// Bit-identical to per-symbol feeding.
   void feed_chunk(std::span<const stream::Symbol> chunk) override;
   bool finish() override;
   void reset(std::uint64_t seed) override;
+  /// A1's tape head once, plus what A2 and A3 keep beside it.
   machine::SpaceReport space_used() const override;
   std::string name() const override { return "quantum"; }
-  bool fully_simulated() const override { return !a3_->not_simulated(); }
+  /// Once the stream has ended: false exactly when verdict() is
+  /// kNotSimulated. A word A1 or A2 rejects is decided whether or not A3's
+  /// register fit a backend.
+  bool fully_simulated() const override {
+    return !(a3_->not_simulated() && a1_.finish() && a2_->passed());
+  }
   /// Serializes A1, A2 and A3 including the quantum register (via the
   /// backend's serialize_state). Gate-level mode refuses
   /// (machine::UnsupportedSnapshot): the external sink's tape cannot travel.
@@ -81,7 +88,7 @@ class QuantumOnlineRecognizer final : public machine::OnlineRecognizer {
 
  private:
   Options opts_;
-  lang::StructureValidator a1_;
+  lang::StructureValidator a1_;  // also the tape head A2 and A3 read through
   std::unique_ptr<fingerprint::EqualityChecker> a2_;
   std::unique_ptr<GroverStreamer> a3_;
   bool finished_ = false;

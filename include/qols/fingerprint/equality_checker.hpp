@@ -37,18 +37,18 @@ class EqualityChecker {
   explicit EqualityChecker(util::Rng rng, unsigned field_exponent = 4)
       : rng_(rng), field_exponent_(field_exponent) {}
 
-  /// Consumes one symbol of the word (the same stream A1 sees). On words
-  /// violating shape (i) the behaviour is unspecified-but-safe: A1 rejects
-  /// the word anyway.
-  void feed(stream::Symbol s);
-
-  /// Consumes a run of symbols; fingerprint values — and therefore every
-  /// pass/fail outcome — are bit-identical to per-symbol feeding. Runs of
-  /// data bits go through PolyFingerprint's batched Horner pass (Montgomery
-  /// multiplication instead of a 128-bit division per bit), which is the
-  /// single largest win of chunked ingestion: A2 touches every bit of the
-  /// word, so its per-bit cost bounds any recognizer's line rate.
-  void feed_chunk(std::span<const stream::Symbol> chunk);
+  /// Events of the tape head A2 reads through (lang::StructureValidator,
+  /// shared with A1 and A3). The prefix resolves the field: k is capped at
+  /// 15, where the prime interval (2^{4k}, 2^{4k+1}) still fits 64 bits, and
+  /// t is drawn here. A run goes through PolyFingerprint's batched Horner
+  /// pass (Montgomery multiplication instead of a 128-bit division per bit),
+  /// bit-identical to per-bit feeding: A2 touches every bit of the word, so
+  /// its per-bit cost bounds any recognizer's line rate. Words that break
+  /// shape (i) stop reaching A2 where A1 rejects them.
+  void on_prefix(unsigned k);
+  void on_run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+              std::span<const stream::Symbol> run);
+  void on_block_end(std::uint64_t rep, unsigned block);
 
   /// True iff every fingerprint comparison made so far passed. Valid after
   /// the stream ends; on a shape-valid word this is the paper's A2 output.
@@ -56,15 +56,17 @@ class EqualityChecker {
 
   /// The prime in (2^{4k}, 2^{4k+1}) in use (after the prefix was read).
   std::optional<std::uint64_t> prime() const noexcept {
-    return active_ ? std::optional<std::uint64_t>(p_) : std::nullopt;
+    return current_ ? std::optional<std::uint64_t>(current_->modulus())
+                    : std::nullopt;
   }
   /// The random evaluation point t.
   std::optional<std::uint64_t> point() const noexcept {
-    return active_ ? std::optional<std::uint64_t>(t_) : std::nullopt;
+    return current_ ? std::optional<std::uint64_t>(current_->point())
+                    : std::nullopt;
   }
 
-  /// Work-memory footprint in bits: 8 field elements of (4k+1) bits plus the
-  /// block counter, once k is known.
+  /// Work-memory footprint in bits: 8 field elements of (4k+1) bits plus
+  /// control flags, once k is known. The block counter is the tape head's.
   std::uint64_t classical_bits_used() const noexcept;
 
   /// Serializes the full mid-stream state including the child RNG, so a
@@ -77,22 +79,12 @@ class EqualityChecker {
   unsigned field_exponent_;
   bool failed_ = false;
 
-  // Prefix parsing (duplicates A1's tiny counter; the procedures run in
-  // parallel on the same stream and may not share tape cells).
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
-  bool active_ = false;
-
-  std::uint64_t p_ = 0;
-  std::uint64_t t_ = 0;
+  // The running fingerprint at (p, t); engaged once the prefix set the field.
   std::optional<PolyFingerprint> current_;
-  std::uint64_t block_index_ = 0;  // 0-based over all blocks
 
   // Fingerprints retained across block boundaries.
   std::optional<std::uint64_t> cur_x_, cur_y_;
   std::optional<std::uint64_t> prev_x_, prev_y_;
-
-  void on_block_end();
 };
 
 }  // namespace qols::fingerprint

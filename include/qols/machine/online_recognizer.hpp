@@ -104,9 +104,12 @@ class OnlineRecognizer {
 /// Snapshot wire format: "QS" magic, format version, then a recognizer-kind
 /// tag (1 = classical-block, 2 = classical-full, 3 = classical-sampling,
 /// 4 = classical-bloom, 5 = quantum) followed by the kind-specific payload.
+/// Version 2: the tape head (A1's cursor) is serialized once per recognizer;
+/// version-1 images, whose procedures each carried their own position
+/// fields, are refused.
 inline constexpr std::uint8_t kSnapshotMagic0 = 'Q';
 inline constexpr std::uint8_t kSnapshotMagic1 = 'S';
-inline constexpr std::uint8_t kSnapshotVersion = 1;
+inline constexpr std::uint8_t kSnapshotVersion = 2;
 
 /// Writes the common snapshot header.
 void snapshot_header(util::serde::ByteWriter& w, std::uint8_t kind_tag);

@@ -27,9 +27,9 @@ std::optional<Symbol> symbol_from_char(char c) noexcept;
 char symbol_to_char(Symbol s) noexcept;
 
 /// Index of the first kSep in data[begin, end), or `end` when there is none.
-/// The shared run-splitter of every bulk scanner: Symbol's underlying byte
-/// values make this a memchr, so finding block boundaries costs a vectorized
-/// scan instead of a branch per symbol.
+/// The run-splitter of the one tape head (lang::StructureValidator): Symbol's
+/// byte values make this a memchr, so finding block boundaries costs a
+/// vectorized scan instead of a branch per symbol.
 inline std::size_t find_sep(const Symbol* data, std::size_t begin,
                             std::size_t end) noexcept {
   if (begin >= end) return end;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <stdexcept>
 
 namespace qols::core {
@@ -11,52 +10,9 @@ using stream::Symbol;
 
 namespace {
 
-// Shared prefix-parsing helper: returns true once '1^k#' has been consumed
-// and fills k. Returns false while still reading; sets *broken on malformed
-// prefixes (A1 rejects those words anyway).
-struct PrefixParser {
-  unsigned k = 0;
-  bool done = false;
-  bool broken = false;
-
-  void feed(Symbol s) {
-    if (done || broken) return;
-    if (s == Symbol::kOne && k < 20) {
-      ++k;
-      return;
-    }
-    if (s == Symbol::kSep && k >= 1) {
-      done = true;
-      return;
-    }
-    broken = true;
-  }
-};
-
-// Shared chunk driver for the recognizers' own body logic (A1/A2 consume the
-// chunk separately, in bulk): per-symbol through the prefix, then the body
-// split into separators (rare, per symbol) and data runs (bulk). All state
-// transitions happen inside the callbacks, so chunk boundaries can never
-// diverge from per-symbol feeding.
-template <typename OwnSymbol, typename BodyRun>
-void drive_chunk(std::span<const Symbol> chunk, const bool& in_prefix,
-                 const bool& active, OwnSymbol&& on_own_symbol,
-                 BodyRun&& on_body_run) {
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n && in_prefix) on_own_symbol(chunk[i++]);
-  if (!active) return;  // body ignores the rest (bad shape or k out of range)
-  while (i < n) {
-    if (chunk[i] == Symbol::kSep) {
-      on_own_symbol(chunk[i]);
-      ++i;
-      continue;
-    }
-    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
-    on_body_run(chunk.data() + i, j - i);
-    i = j;
-  }
-}
+// The k above which a body stays inert (its buffer would not fit).
+constexpr unsigned kBodyMaxK = 15;
+constexpr unsigned kFullMaxK = 12;
 
 // Snapshot kind tags (see machine/online_recognizer.hpp).
 constexpr std::uint8_t kTagBlock = 1;
@@ -80,6 +36,14 @@ util::BitVec get_bitvec(util::serde::ByteReader& r) {
   }
 }
 
+// A body buffer restored from bytes must have the size the tape head's k
+// implies (or be empty: not allocated yet, or k past the body's cap).
+void check_size(std::uint64_t got, std::uint64_t want, const char* who) {
+  if (got != 0 && got != want) {
+    throw util::serde::DecodeError(std::string(who) + ": buffer size mismatch");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -92,153 +56,54 @@ ClassicalBlockRecognizer::ClassicalBlockRecognizer(std::uint64_t seed) {
 
 void ClassicalBlockRecognizer::reset(std::uint64_t seed) {
   util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  block_len_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
+  reset_frame(rng);
   buffer_ = util::BitVec();
-  found_ = false;
 }
 
-void ClassicalBlockRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
+void ClassicalBlockRecognizer::prefix(unsigned k) {
+  if (k <= kBodyMaxK) buffer_ = util::BitVec(std::uint64_t{1} << k);
 }
 
-void ClassicalBlockRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 15) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      block_len_ = std::uint64_t{1} << k_;
-      buffer_ = util::BitVec(block_len_);
-    }
-    return;
-  }
-  if (!active_) return;
-  on_body_symbol(s);
-}
-
-void ClassicalBlockRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalBlockRecognizer::on_body_symbol(Symbol s) {
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-    } else {
-      ++block_;
-    }
-    off_ = 0;
-    return;
-  }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_ || rep_ >= block_len_) return;  // malformed; A1 rejects
-  // Repetition r owns the index window [r*2^k, (r+1)*2^k).
-  const std::uint64_t window_lo = rep_ * block_len_;
-  if (idx < window_lo || idx >= window_lo + block_len_) return;
-  const std::uint64_t slot = idx - window_lo;
-  if (block_ == 0) {
-    buffer_.set(slot, bit);
-  } else if (block_ == 1) {
-    if (bit && buffer_.get(slot)) found_ = true;
-  }
-}
-
-void ClassicalBlockRecognizer::on_body_run(const Symbol* data,
-                                           std::uint64_t len) {
-  // Bit-identical to len on_body_symbol calls: off_ always advances; only
-  // the run's overlap with this repetition's window [r*2^k, (r+1)*2^k) is
-  // read or written, and z-blocks touch nothing.
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (rep_ >= block_len_ || block_ == 2) return;
-  const std::uint64_t window_lo = rep_ * block_len_;
-  const std::uint64_t window_hi = window_lo + block_len_;
-  const std::uint64_t lo = std::max(start, window_lo);
-  const std::uint64_t hi = std::min({start + len, window_hi, m_});
-  if (block_ == 0) {
-    for (std::uint64_t idx = lo; idx < hi; ++idx) {
-      buffer_.set(idx - window_lo, data[idx - start] == Symbol::kOne);
-    }
-  } else if (block_ == 1) {
-    for (std::uint64_t idx = lo; idx < hi; ++idx) {
-      if (data[idx - start] == Symbol::kOne && buffer_.get(idx - window_lo)) {
-        found_ = true;
-      }
+void ClassicalBlockRecognizer::run(std::uint64_t rep, unsigned block,
+                                   std::uint64_t offset,
+                                   std::span<const Symbol> bits) {
+  // Repetition r owns the index window [r*2^k, (r+1)*2^k): only the run's
+  // overlap with it is read or written, and z-blocks touch nothing.
+  const std::uint64_t width = buffer_.size();
+  if (width == 0 || block == 2) return;
+  const std::uint64_t window_lo = rep * width;
+  const std::uint64_t lo = std::max(offset, window_lo);
+  const std::uint64_t hi = std::min(offset + bits.size(), window_lo + width);
+  for (std::uint64_t idx = lo; idx < hi; ++idx) {
+    const bool bit = bits[idx - offset] == Symbol::kOne;
+    if (block == 0) {
+      buffer_.set(idx - window_lo, bit);
+    } else if (bit && buffer_.get(idx - window_lo)) {
+      found_ = true;
     }
   }
-}
-
-bool ClassicalBlockRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !found_;
 }
 
 machine::SpaceReport ClassicalBlockRecognizer::space_used() const {
-  machine::SpaceReport r;
-  const std::uint64_t counters =
-      active_ ? (std::uint64_t{k_} + 1) + (2 * k_ + 1) + 4 : 8;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     buffer_.size() + counters + 1;  // +1 found flag
-  r.qubits = 0;
-  return r;
+  return {.classical_bits = frame_bits() + buffer_.size(), .qubits = 0};
 }
 
 std::vector<std::uint8_t> ClassicalBlockRecognizer::snapshot() const {
   util::serde::ByteWriter w;
   machine::snapshot_header(w, kTagBlock);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(block_len_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
+  frame_to(w);
   put_bitvec(w, buffer_);
-  w.b(found_);
   return w.take();
 }
 
 void ClassicalBlockRecognizer::restore(std::span<const std::uint8_t> bytes) {
   util::serde::ByteReader r(bytes);
   machine::check_snapshot_header(r, kTagBlock, "classical-block");
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  block_len_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
+  frame_from(r);
   buffer_ = get_bitvec(r);
-  found_ = r.b();
   r.expect_exhausted();
+  check_size(buffer_.size(), std::uint64_t{1} << a1_.k().value_or(0),
+             "classical-block");
 }
 
 // ---------------------------------------------------------------------------
@@ -251,133 +116,49 @@ ClassicalFullRecognizer::ClassicalFullRecognizer(std::uint64_t seed) {
 
 void ClassicalFullRecognizer::reset(std::uint64_t seed) {
   util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
+  reset_frame(rng);
   x_ = util::BitVec();
-  found_ = false;
 }
 
-void ClassicalFullRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
+void ClassicalFullRecognizer::prefix(unsigned k) {
+  if (k <= kFullMaxK) x_ = util::BitVec(a1_.block_length());
 }
 
-void ClassicalFullRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 12) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      x_ = util::BitVec(m_);
-    }
-    return;
-  }
-  if (!active_) return;
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-    } else {
-      ++block_;
-    }
-    off_ = 0;
-    return;
-  }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_) return;
-  if (rep_ == 0 && block_ == 0) {
-    x_.set(idx, bit);
-  } else if (rep_ == 0 && block_ == 1) {
-    if (bit && x_.get(idx)) found_ = true;
-  }
-}
-
-void ClassicalFullRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalFullRecognizer::on_body_run(const Symbol* data,
-                                          std::uint64_t len) {
-  // Only repetition 0 reads or writes x; later repetitions are counter
-  // arithmetic (A2 carries the consistency burden there).
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (rep_ != 0) return;
-  const std::uint64_t hi = std::min(start + len, m_);
-  if (block_ == 0) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      x_.set(idx, data[idx - start] == Symbol::kOne);
-    }
-  } else if (block_ == 1) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      if (data[idx - start] == Symbol::kOne && x_.get(idx)) found_ = true;
+void ClassicalFullRecognizer::run(std::uint64_t rep, unsigned block,
+                                  std::uint64_t offset,
+                                  std::span<const Symbol> bits) {
+  // Only repetition 0 reads or writes x; later repetitions cost nothing
+  // (A2 carries the consistency burden there).
+  if (x_.size() == 0 || rep != 0 || block == 2) return;
+  for (std::uint64_t i = 0; i < bits.size(); ++i) {
+    const bool bit = bits[i] == Symbol::kOne;
+    if (block == 0) {
+      x_.set(offset + i, bit);
+    } else if (bit && x_.get(offset + i)) {
+      found_ = true;
     }
   }
-}
-
-bool ClassicalFullRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !found_;
 }
 
 machine::SpaceReport ClassicalFullRecognizer::space_used() const {
-  machine::SpaceReport r;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     x_.size() + (2ULL * k_ + 1) + 4;
-  r.qubits = 0;
-  return r;
+  return {.classical_bits = frame_bits() + x_.size(), .qubits = 0};
 }
 
 std::vector<std::uint8_t> ClassicalFullRecognizer::snapshot() const {
   util::serde::ByteWriter w;
   machine::snapshot_header(w, kTagFull);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
+  frame_to(w);
   put_bitvec(w, x_);
-  w.b(found_);
   return w.take();
 }
 
 void ClassicalFullRecognizer::restore(std::span<const std::uint8_t> bytes) {
   util::serde::ByteReader r(bytes);
   machine::check_snapshot_header(r, kTagFull, "classical-full");
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
+  frame_from(r);
   x_ = get_bitvec(r);
-  found_ = r.b();
   r.expect_exhausted();
+  check_size(x_.size(), a1_.block_length(), "classical-full");
 }
 
 // ---------------------------------------------------------------------------
@@ -392,130 +173,57 @@ ClassicalSamplingRecognizer::ClassicalSamplingRecognizer(std::uint64_t seed,
 
 void ClassicalSamplingRecognizer::reset(std::uint64_t seed) {
   rng_ = util::Rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng_.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
+  reset_frame(rng_);
   indices_.clear();
   xbits_.clear();
-  cursor_ = 0;
-  found_ = false;
+  next_sample_ = 0;
 }
 
 void ClassicalSamplingRecognizer::draw_indices() {
+  const std::uint64_t m = a1_.block_length();
   indices_.clear();
-  for (std::uint64_t i = 0; i < budget_; ++i) indices_.push_back(rng_.below(m_));
+  for (std::uint64_t i = 0; i < budget_; ++i) indices_.push_back(rng_.below(m));
   std::sort(indices_.begin(), indices_.end());
   indices_.erase(std::unique(indices_.begin(), indices_.end()), indices_.end());
   xbits_.assign(indices_.size(), false);
-  cursor_ = 0;
+  next_sample_ = 0;
 }
 
-void ClassicalSamplingRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
+void ClassicalSamplingRecognizer::prefix(unsigned k) {
+  if (k <= kBodyMaxK) draw_indices();
 }
 
-void ClassicalSamplingRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 15) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      draw_indices();
-    }
-    return;
-  }
-  if (!active_) return;
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-      draw_indices();  // fresh sample each repetition
-    } else {
-      ++block_;
-      cursor_ = 0;
-    }
-    off_ = 0;
-    return;
-  }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_) return;
-  if (block_ == 0) {
-    while (cursor_ < indices_.size() && indices_[cursor_] < idx) ++cursor_;
-    if (cursor_ < indices_.size() && indices_[cursor_] == idx) {
-      xbits_[cursor_] = bit;
-    }
-  } else if (block_ == 1) {
-    while (cursor_ < indices_.size() && indices_[cursor_] < idx) ++cursor_;
-    if (cursor_ < indices_.size() && indices_[cursor_] == idx) {
-      if (bit && xbits_[cursor_]) found_ = true;
-    }
+void ClassicalSamplingRecognizer::block_end(std::uint64_t, unsigned block) {
+  if (block != 2) {
+    next_sample_ = 0;
+  } else if (*a1_.k() <= kBodyMaxK) {
+    draw_indices();  // fresh sample each repetition
   }
 }
 
-void ClassicalSamplingRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalSamplingRecognizer::on_body_run(const Symbol* data,
-                                              std::uint64_t len) {
+void ClassicalSamplingRecognizer::run(std::uint64_t, unsigned block,
+                                      std::uint64_t offset,
+                                      std::span<const Symbol> bits) {
   // The sorted sample turns a run into a cursor sweep: only sampled indices
-  // inside [start, end) are visited. The cursor lands one lower-bound step
-  // ahead of the per-symbol path's resting point, which is unobservable —
-  // it only ever advances monotonically until the next block boundary
-  // resets it.
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (block_ >= 2) return;
-  const std::uint64_t end = std::min(start + len, m_);
-  if (start >= end) return;
-  while (cursor_ < indices_.size() && indices_[cursor_] < start) ++cursor_;
-  if (block_ == 0) {
-    while (cursor_ < indices_.size() && indices_[cursor_] < end) {
-      xbits_[cursor_] = data[indices_[cursor_] - start] == Symbol::kOne;
-      ++cursor_;
-    }
-  } else {
-    while (cursor_ < indices_.size() && indices_[cursor_] < end) {
-      if (data[indices_[cursor_] - start] == Symbol::kOne &&
-          xbits_[cursor_]) {
-        found_ = true;
-      }
-      ++cursor_;
+  // inside [offset, end) are visited.
+  if (block == 2) return;
+  const std::uint64_t end = offset + bits.size();
+  const std::size_t n = indices_.size();
+  while (next_sample_ < n && indices_[next_sample_] < offset) ++next_sample_;
+  for (; next_sample_ < n && indices_[next_sample_] < end; ++next_sample_) {
+    const bool bit = bits[indices_[next_sample_] - offset] == Symbol::kOne;
+    if (block == 0) {
+      xbits_[next_sample_] = bit;
+    } else if (bit && xbits_[next_sample_]) {
+      found_ = true;
     }
   }
-}
-
-bool ClassicalSamplingRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !found_;
 }
 
 machine::SpaceReport ClassicalSamplingRecognizer::space_used() const {
-  machine::SpaceReport r;
   // Each sampled index costs 2k bits plus 1 remembered bit of x.
-  const std::uint64_t per_sample = 2ULL * k_ + 1;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     budget_ * per_sample + (2ULL * k_ + 1) + 4;
-  r.qubits = 0;
-  return r;
+  const std::uint64_t per_sample = 2ULL * a1_.k().value_or(0) + 1;
+  return {.classical_bits = frame_bits() + budget_ * per_sample, .qubits = 0};
 }
 
 std::vector<std::uint8_t> ClassicalSamplingRecognizer::snapshot() const {
@@ -523,20 +231,11 @@ std::vector<std::uint8_t> ClassicalSamplingRecognizer::snapshot() const {
   machine::snapshot_header(w, kTagSampling);
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   w.u64(budget_);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
+  frame_to(w);
   w.u64_vec(indices_);
   w.u64(xbits_.size());
   for (const bool bit : xbits_) w.b(bit);
-  w.u64(cursor_);
-  w.b(found_);
+  w.u64(next_sample_);
   return w.take();
 }
 
@@ -551,15 +250,7 @@ void ClassicalSamplingRecognizer::restore(std::span<const std::uint8_t> bytes) {
   if (r.u64() != budget_) {
     throw util::serde::DecodeError("classical-sample: budget mismatch");
   }
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
+  frame_from(r);
   indices_ = r.u64_vec();
   const std::uint64_t nbits = r.u64();
   if (nbits != indices_.size()) {
@@ -567,11 +258,10 @@ void ClassicalSamplingRecognizer::restore(std::span<const std::uint8_t> bytes) {
   }
   xbits_.assign(static_cast<std::size_t>(nbits), false);
   for (std::size_t i = 0; i < xbits_.size(); ++i) xbits_[i] = r.b();
-  cursor_ = r.u64();
-  if (cursor_ > indices_.size()) {
+  next_sample_ = r.u64();
+  if (next_sample_ > indices_.size()) {
     throw util::serde::DecodeError("classical-sample: cursor out of range");
   }
-  found_ = r.b();
   r.expect_exhausted();
 }
 
@@ -595,17 +285,8 @@ ClassicalBloomRecognizer::ClassicalBloomRecognizer(std::uint64_t seed,
 void ClassicalBloomRecognizer::reset(std::uint64_t seed) {
   seed_ = seed;
   util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
+  reset_frame(rng);
   filter_ = util::BitVec();
-  hit_ = false;
 }
 
 std::uint64_t ClassicalBloomRecognizer::hash(std::uint64_t index,
@@ -616,106 +297,33 @@ std::uint64_t ClassicalBloomRecognizer::hash(std::uint64_t index,
   return h.next() % filter_bits_;
 }
 
-void ClassicalBloomRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
+void ClassicalBloomRecognizer::prefix(unsigned k) {
+  if (k <= kBodyMaxK) filter_ = util::BitVec(filter_bits_);
 }
 
-void ClassicalBloomRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 15) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      filter_ = util::BitVec(filter_bits_);
-    }
-    return;
-  }
-  if (!active_) return;
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-    } else {
-      ++block_;
-    }
-    off_ = 0;
-    return;
-  }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_ || rep_ != 0) return;  // the filter is built once
-  if (block_ == 0) {
-    if (bit) {
-      for (unsigned h = 0; h < num_hashes_; ++h) filter_.set(hash(idx, h), true);
-    }
-  } else if (block_ == 1) {
-    if (bit) {
-      bool all = true;
-      for (unsigned h = 0; h < num_hashes_; ++h) {
-        if (!filter_.get(hash(idx, h))) {
-          all = false;
-          break;
-        }
-      }
-      if (all) hit_ = true;
-    }
-  }
-}
-
-void ClassicalBloomRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalBloomRecognizer::on_body_run(const Symbol* data,
-                                           std::uint64_t len) {
+void ClassicalBloomRecognizer::run(std::uint64_t rep, unsigned block,
+                                   std::uint64_t offset,
+                                   std::span<const Symbol> bits) {
   // The filter is built (block 0) and probed (block 1) in repetition 0
   // only, and only one-bits hash — later repetitions cost nothing.
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (rep_ != 0) return;
-  const std::uint64_t hi = std::min(start + len, m_);
-  if (block_ == 0) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      if (data[idx - start] != Symbol::kOne) continue;
+  if (filter_.size() == 0 || rep != 0 || block == 2) return;
+  for (std::uint64_t i = 0; i < bits.size(); ++i) {
+    if (bits[i] != Symbol::kOne) continue;
+    const std::uint64_t idx = offset + i;
+    if (block == 0) {
       for (unsigned h = 0; h < num_hashes_; ++h) filter_.set(hash(idx, h), true);
+      continue;
     }
-  } else if (block_ == 1) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      if (data[idx - start] != Symbol::kOne) continue;
-      bool all = true;
-      for (unsigned h = 0; h < num_hashes_; ++h) {
-        if (!filter_.get(hash(idx, h))) {
-          all = false;
-          break;
-        }
-      }
-      if (all) hit_ = true;
+    bool all = true;
+    for (unsigned h = 0; h < num_hashes_ && all; ++h) {
+      all = filter_.get(hash(idx, h));
     }
+    if (all) found_ = true;
   }
-}
-
-bool ClassicalBloomRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !hit_;
 }
 
 machine::SpaceReport ClassicalBloomRecognizer::space_used() const {
-  machine::SpaceReport r;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     filter_.size() + (2ULL * k_ + 1) + 4;
-  r.qubits = 0;
-  return r;
+  return {.classical_bits = frame_bits() + filter_.size(), .qubits = 0};
 }
 
 std::vector<std::uint8_t> ClassicalBloomRecognizer::snapshot() const {
@@ -724,17 +332,8 @@ std::vector<std::uint8_t> ClassicalBloomRecognizer::snapshot() const {
   w.u64(seed_);
   w.u64(filter_bits_);
   w.u32(num_hashes_);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
+  frame_to(w);
   put_bitvec(w, filter_);
-  w.b(hit_);
   return w.take();
 }
 
@@ -748,18 +347,10 @@ void ClassicalBloomRecognizer::restore(std::span<const std::uint8_t> bytes) {
     throw util::serde::DecodeError("classical-bloom: filter geometry mismatch");
   }
   seed_ = seed;
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
+  frame_from(r);
   filter_ = get_bitvec(r);
-  hit_ = r.b();
   r.expect_exhausted();
+  check_size(filter_.size(), filter_bits_, "classical-bloom");
 }
 
 }  // namespace qols::core

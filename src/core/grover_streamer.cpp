@@ -29,60 +29,41 @@ GroverStreamer::GroverStreamer(util::Rng rng, Options opts)
   }
 }
 
-void GroverStreamer::feed(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne) {
-      ++k_;
+void GroverStreamer::on_prefix(unsigned k) {
+  k_ = k;
+  std::optional<std::string> backend_id;
+  if (opts_.simulate) {
+    const std::string requested =
+        !opts_.backend.empty()
+            ? opts_.backend
+            : backend::env_backend_override().value_or(std::string{});
+    backend_id = backend::resolve_backend_id(requested, k_, opts_.max_sim_k,
+                                             opts_.max_structured_k);
+    if (!backend_id) {
+      overflow_ = true;  // no backend covers k: explicitly not simulated
       return;
     }
-    if (s == Symbol::kSep && k_ >= 1) {
-      in_prefix_ = false;
-      std::optional<std::string> backend_id;
-      if (opts_.simulate) {
-        const std::string requested =
-            !opts_.backend.empty() ? opts_.backend
-                                   : backend::env_backend_override().value_or(
-                                         std::string{});
-        backend_id = backend::resolve_backend_id(
-            requested, k_, opts_.max_sim_k, opts_.max_structured_k);
-        if (!backend_id) {
-          overflow_ = true;  // no backend covers k: explicitly not simulated
-          return;
-        }
-      } else if (k_ > opts_.max_sim_k) {
-        // Non-simulating modes keep the historical max_sim_k envelope for
-        // counters and the gate compiler.
-        overflow_ = true;
-        return;
-      }
-      m_ = std::uint64_t{1} << (2 * k_);
-      j_ = rng_.below(std::uint64_t{1} << k_);
-      const unsigned data_qubits = 2 * k_ + 2;
-      if (backend_id) {
-        backend_ = backend::make_backend(*backend_id, data_qubits, 2 * k_,
-                                         opts_.precision);
-        backend_->apply_h_range(0, 2 * k_);
-        ++gates_applied_;
-      }
-      if (opts_.gate_sink != nullptr) {
-        // mcz_pattern over 2k+1 terms needs 2k ancillas.
-        builder_ = std::make_unique<gates::CircuitBuilder>(
-            *opts_.gate_sink, data_qubits, 2 * k_);
-        builder_->h_range(0, 2 * k_);
-      }
-      active_ = true;
-      return;
-    }
-    // Shape already broken; A1 rejects the word. Become inert.
-    in_prefix_ = false;
+  } else if (k_ > opts_.max_sim_k) {
+    // Non-simulating modes keep the historical max_sim_k envelope for
+    // counters and the gate compiler.
+    overflow_ = true;
     return;
   }
-  if (!active_ || done_) return;
-  if (s == Symbol::kSep) {
-    on_sep();
-  } else {
-    on_bit(s == Symbol::kOne);
+  j_ = rng_.below(std::uint64_t{1} << k_);
+  const unsigned data_qubits = 2 * k_ + 2;
+  if (backend_id) {
+    backend_ = backend::make_backend(*backend_id, data_qubits, 2 * k_,
+                                     opts_.precision);
+    backend_->apply_h_range(0, 2 * k_);
+    ++gates_applied_;
   }
+  if (opts_.gate_sink != nullptr) {
+    // mcz_pattern over 2k+1 terms needs 2k ancillas.
+    builder_ = std::make_unique<gates::CircuitBuilder>(*opts_.gate_sink,
+                                                       data_qubits, 2 * k_);
+    builder_->h_range(0, 2 * k_);
+  }
+  active_ = true;
 }
 
 namespace {
@@ -108,124 +89,60 @@ const Symbol* skip_zero_bits(const Symbol* p, const Symbol* end) {
 
 }  // namespace
 
-void GroverStreamer::feed_chunk(std::span<const Symbol> chunk) {
-  const Symbol* p = chunk.data();
-  const Symbol* const end = p + chunk.size();
-  while (p < end && in_prefix_) feed(*p++);
-  if (!active_) return;  // shape broken or k not simulated: inert
-  // Past the prefix every symbol goes straight to its handler.
-  while (p < end && !done_) {
-    const Symbol s = *p;
-    if (s == Symbol::kZero) {
-      // A run of zero bits only advances the offset counter (on_bit returns
-      // before touching the register), or freezes on an overlong block —
-      // identical end state to feeding them one at a time.
-      const Symbol* q = skip_zero_bits(p + 1, end);
-      const std::uint64_t run = static_cast<std::uint64_t>(q - p);
-      const std::uint64_t room = m_ > off_ ? m_ - off_ : 0;
-      if (run > room) {
-        off_ += room;
-        done_ = true;  // the first bit past m freezes the register
-      } else {
-        off_ += run;
-      }
-      p = q;
-      continue;
-    }
-    if (s == Symbol::kSep) {
-      on_sep();
-    } else {
-      on_bit(s == Symbol::kOne);
-    }
-    ++p;
+void GroverStreamer::on_run(std::uint64_t rep, unsigned block,
+                            std::uint64_t offset, std::span<const Symbol> run) {
+  if (!active_ || done_) return;
+  // Zero bits only advance the offset, so only the one-bits are visited.
+  const bool grover_phase = rep < j_;
+  const Symbol* const begin = run.data();
+  const Symbol* const end = begin + run.size();
+  for (const Symbol* p = skip_zero_bits(begin, end); p != end;
+       p = skip_zero_bits(p + 1, end)) {
+    on_one(grover_phase, block, offset + static_cast<std::uint64_t>(p - begin));
   }
 }
 
-void GroverStreamer::on_bit(bool bit) {
-  if (off_ >= m_) {
-    // Overlong block: word is malformed, A1 rejects. Freeze the register.
-    done_ = true;
-    return;
-  }
-  const std::uint64_t idx = off_;
-  ++off_;
-  if (!bit) return;
-
+void GroverStreamer::on_one(bool grover_phase, unsigned block,
+                            std::uint64_t idx) {
   const unsigned h = 2 * k_;
   const unsigned l = 2 * k_ + 1;
-  const bool grover_phase = rep_ < j_;
-
-  if (grover_phase) {
-    // V_x / W_y / V_z, one streamed bit at a time.
-    if (backend_) ++gates_applied_;
-    if (block_ == 0 || block_ == 2) {
-      if (backend_) backend_->apply_x_on_index(0, 2 * k_, idx, h);
-      if (builder_) {
-        std::vector<ControlTerm> terms;
-        terms.reserve(2 * k_);
-        for (unsigned q = 0; q < 2 * k_; ++q) {
-          terms.push_back({q, ((idx >> q) & 1) != 0});
-        }
-        builder_->mcx_pattern(terms, h);
-      }
-    } else {
-      if (backend_) backend_->apply_z_on_index(0, 2 * k_, idx, h);
-      if (builder_) {
-        std::vector<ControlTerm> terms;
-        terms.reserve(2 * k_ + 1);
-        for (unsigned q = 0; q < 2 * k_; ++q) {
-          terms.push_back({q, ((idx >> q) & 1) != 0});
-        }
-        terms.push_back({h, true});
-        builder_->mcz_pattern(terms);
-      }
+  // The gate-level control pattern: the index register fixed to idx, and
+  // optionally h set.
+  const auto index_terms = [&](bool with_h) {
+    std::vector<ControlTerm> terms;
+    terms.reserve(2 * k_ + 1);
+    for (unsigned q = 0; q < 2 * k_; ++q) {
+      terms.push_back({q, ((idx >> q) & 1) != 0});
     }
+    if (with_h) terms.push_back({h, true});
+    return terms;
+  };
+  if (block == 1 && grover_phase) {  // W_y
+    if (backend_) backend_->apply_z_on_index(0, 2 * k_, idx, h);
+    if (builder_) builder_->mcz_pattern(index_terms(true));
+  } else if (block == 1) {  // step 4 (repetition j+1): R_y
+    if (backend_) backend_->apply_cx_on_index(0, 2 * k_, idx, h, l);
+    if (builder_) builder_->mcx_pattern(index_terms(true), l);
+  } else if (block == 0 || grover_phase) {  // V_x, and V_z in the Grover phase
+    if (backend_) backend_->apply_x_on_index(0, 2 * k_, idx, h);
+    if (builder_) builder_->mcx_pattern(index_terms(false), h);
+  } else {
     return;
   }
-  // Step 4 (repetition j+1): V_x on the x-block, R_y on the y-block.
-  if (backend_ && block_ != 2) ++gates_applied_;
-  if (block_ == 0) {
-    if (backend_) backend_->apply_x_on_index(0, 2 * k_, idx, h);
-    if (builder_) {
-      std::vector<ControlTerm> terms;
-      terms.reserve(2 * k_);
-      for (unsigned q = 0; q < 2 * k_; ++q) {
-        terms.push_back({q, ((idx >> q) & 1) != 0});
-      }
-      builder_->mcx_pattern(terms, h);
-    }
-  } else if (block_ == 1) {
-    if (backend_) backend_->apply_cx_on_index(0, 2 * k_, idx, h, l);
-    if (builder_) {
-      std::vector<ControlTerm> terms;
-      terms.reserve(2 * k_ + 1);
-      for (unsigned q = 0; q < 2 * k_; ++q) {
-        terms.push_back({q, ((idx >> q) & 1) != 0});
-      }
-      terms.push_back({h, true});
-      builder_->mcx_pattern(terms, l);
-    }
-  }
+  if (backend_) ++gates_applied_;
 }
 
-void GroverStreamer::on_sep() {
-  // End of the current block.
-  const bool grover_phase = rep_ < j_;
-  if (!grover_phase && block_ == 1) {
+void GroverStreamer::on_block_end(std::uint64_t rep, unsigned block) {
+  if (!active_ || done_) return;
+  const bool grover_phase = rep < j_;
+  if (!grover_phase && block == 1) {
     // Step 4 complete: the register now carries sum beta_i |i>|x_i>|x_i&y_i>.
     done_ = true;
     return;
   }
-  if (block_ == 2) {
-    // Completed a full (x#y#x#) repetition inside the Grover phase:
-    // apply the diffusion U_k S_k U_k.
-    if (grover_phase) apply_diffusion();
-    ++rep_;
-    block_ = 0;
-  } else {
-    ++block_;
-  }
-  off_ = 0;
+  // A full (x#y#x#) repetition inside the Grover phase ends with the
+  // diffusion U_k S_k U_k.
+  if (grover_phase && block == 2) apply_diffusion();
 }
 
 void GroverStreamer::apply_diffusion() {
@@ -262,15 +179,11 @@ std::uint64_t GroverStreamer::ancilla_qubits_used() const noexcept {
 }
 
 std::uint64_t GroverStreamer::classical_bits_for(unsigned k) noexcept {
-  const std::uint64_t kk = k;
-  // k counter, j (k bits), repetition counter (k+1), block id (2), offset
-  // counter (2k+1), done/active flags.
-  return std::bit_width(kk + 1) + kk + (kk + 1) + 2 + (2 * kk + 1) + 2;
+  return std::uint64_t{k} + 2;  // j (k bits), done/active flags
 }
 
 std::uint64_t GroverStreamer::classical_bits_used() const noexcept {
-  if (!active_) return 8;
-  return classical_bits_for(k_);
+  return active_ ? classical_bits_for(k_) : 0;
 }
 
 std::uint64_t GroverStreamer::gates_emitted() const noexcept {
@@ -285,15 +198,10 @@ void GroverStreamer::snapshot_to(util::serde::ByteWriter& w) const {
     throw backend::UnsupportedOperation("snapshot in gate-level mode");
   }
   for (const std::uint64_t s : rng_.state()) w.u64(s);
-  w.b(in_prefix_);
   w.u32(k_);
   w.b(active_);
   w.b(overflow_);
-  w.u64(m_);
   w.u64(j_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
   w.b(done_);
   w.b(backend_ != nullptr);
   if (backend_) {
@@ -312,15 +220,10 @@ void GroverStreamer::restore_from(util::serde::ByteReader& r) {
   std::array<std::uint64_t, 4> state;
   for (auto& s : state) s = r.u64();
   rng_.set_state(state);
-  in_prefix_ = r.b();
   k_ = r.u32();
   active_ = r.b();
   overflow_ = r.b();
-  m_ = r.u64();
   j_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
   done_ = r.b();
   backend_.reset();
   builder_.reset();

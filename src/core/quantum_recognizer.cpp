@@ -21,17 +21,38 @@ void QuantumOnlineRecognizer::reset(std::uint64_t seed) {
   finished_ = false;
 }
 
+namespace {
+
+// Hands each tape-head event to A2, then to A3.
+struct A2A3 {
+  fingerprint::EqualityChecker& a2;
+  GroverStreamer& a3;
+
+  void on_prefix(unsigned k) {
+    a2.on_prefix(k);
+    a3.on_prefix(k);
+  }
+  void on_run(std::uint64_t rep, unsigned block, std::uint64_t offset,
+              std::span<const stream::Symbol> run) {
+    a2.on_run(rep, block, offset, run);
+    a3.on_run(rep, block, offset, run);
+  }
+  void on_block_end(std::uint64_t rep, unsigned block) {
+    a2.on_block_end(rep, block);
+    a3.on_block_end(rep, block);
+  }
+};
+
+}  // namespace
+
 void QuantumOnlineRecognizer::feed(stream::Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  a3_->feed(s);
+  feed_chunk(std::span<const stream::Symbol>(&s, 1));
 }
 
 void QuantumOnlineRecognizer::feed_chunk(
     std::span<const stream::Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  a3_->feed_chunk(chunk);
+  A2A3 sink{*a2_, *a3_};
+  a1_.feed_chunk(chunk, sink);
 }
 
 bool QuantumOnlineRecognizer::finish() { return verdict() == Verdict::kAccept; }
@@ -92,6 +113,12 @@ void QuantumOnlineRecognizer::restore(std::span<const std::uint8_t> bytes) {
   }
   finished_ = r.b();
   r.expect_exhausted();
+  // A3 addresses its register with the tape head's offsets, so both must
+  // agree on k.
+  const std::uint64_t qubits = a3_->qubits_used();
+  if (qubits != 0 && qubits != 2 * std::uint64_t{a1_.k().value_or(0)} + 2) {
+    throw util::serde::DecodeError("quantum: tape head and A3 disagree on k");
+  }
 }
 
 }  // namespace qols::core

@@ -1,73 +1,40 @@
 #include "qols/fingerprint/equality_checker.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 
 namespace qols::fingerprint {
 
 using stream::Symbol;
 
-void EqualityChecker::feed(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne) {
-      if (k_ < 15) ++k_;  // beyond 15 the prime interval leaves 64 bits
-      return;
-    }
-    if (s == Symbol::kSep) {
-      in_prefix_ = false;
-      const unsigned q = field_exponent_ < 2 ? 2 : field_exponent_;
-      if (k_ >= 1 && q * k_ <= 60) {
-        if (q == 4) {
-          p_ = util::fingerprint_prime(k_);
-        } else {
-          const std::uint64_t lo = std::uint64_t{1} << (q * k_);
-          p_ = util::first_prime_in_open_interval(lo, lo << 1).value();
-        }
-        t_ = rng_.below(p_);
-        current_.emplace(p_, t_);
-        active_ = true;
-      }
-      return;
-    }
-    // '0' in the prefix: shape is broken; A1 rejects. Stay inert.
-    in_prefix_ = false;
-    return;
+void EqualityChecker::on_prefix(unsigned k) {
+  k = std::min(k, 15u);  // beyond 15 the prime interval leaves 64 bits
+  const unsigned q = field_exponent_ < 2 ? 2 : field_exponent_;
+  if (q * k > 60) return;  // no field fits: stay inert
+  std::uint64_t p;
+  if (q == 4) {
+    p = util::fingerprint_prime(k);
+  } else {
+    const std::uint64_t lo = std::uint64_t{1} << (q * k);
+    p = util::first_prime_in_open_interval(lo, lo << 1).value();
   }
-  if (!active_ || failed_) return;
-  if (s == Symbol::kSep) {
-    on_block_end();
-    return;
-  }
-  current_->feed_counted(s == Symbol::kOne);
+  current_.emplace(p, rng_.below(p));
 }
 
-void EqualityChecker::feed_chunk(std::span<const stream::Symbol> chunk) {
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n) {
-    if (in_prefix_) {  // per-symbol until the prefix resolves (k, p, t)
-      feed(chunk[i]);
-      ++i;
-      continue;
-    }
-    if (!active_ || failed_) return;  // inert for the rest of the word
-    if (chunk[i] == Symbol::kSep) {
-      on_block_end();
-      ++i;
-      continue;
-    }
-    // A run of data bits: Symbol's underlying values are kZero = 0 and
-    // kOne = 1, so the span doubles as the bit array of the batched pass.
-    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
-    current_->feed_counted_bulk(
-        reinterpret_cast<const std::uint8_t*>(chunk.data() + i), j - i);
-    i = j;
-  }
+void EqualityChecker::on_run(std::uint64_t, unsigned, std::uint64_t,
+                             std::span<const Symbol> run) {
+  if (!current_ || failed_) return;
+  // Symbol's underlying values are kZero = 0 and kOne = 1, so the run
+  // doubles as the bit array of the batched pass.
+  current_->feed_counted_bulk(
+      reinterpret_cast<const std::uint8_t*>(run.data()), run.size());
 }
 
-void EqualityChecker::on_block_end() {
+void EqualityChecker::on_block_end(std::uint64_t, unsigned block) {
+  if (!current_ || failed_) return;
   const std::uint64_t fp = current_->value();
-  const unsigned kind = static_cast<unsigned>(block_index_ % 3);
-  switch (kind) {
+  switch (block) {
     case 0:  // an x-block
       // Condition (ii) across repetitions: x(i) = x(i+1).
       if (prev_x_ && fp != *prev_x_) failed_ = true;
@@ -85,7 +52,6 @@ void EqualityChecker::on_block_end() {
       prev_y_ = cur_y_;
       break;
   }
-  ++block_index_;
   current_->reset();
 }
 
@@ -109,14 +75,8 @@ void EqualityChecker::snapshot_to(util::serde::ByteWriter& w) const {
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   w.u32(field_exponent_);
   w.b(failed_);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(p_);
-  w.u64(t_);
   w.b(current_.has_value());
   if (current_) current_->snapshot_to(w);
-  w.u64(block_index_);
   put_opt_u64(w, cur_x_);
   put_opt_u64(w, cur_y_);
   put_opt_u64(w, prev_x_);
@@ -129,17 +89,11 @@ void EqualityChecker::restore_from(util::serde::ByteReader& r) {
   rng_.set_state(state);
   field_exponent_ = r.u32();
   failed_ = r.b();
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  p_ = r.u64();
-  t_ = r.u64();
   if (r.b()) {
     current_ = PolyFingerprint::restored_from(r);
   } else {
     current_.reset();
   }
-  block_index_ = r.u64();
   cur_x_ = get_opt_u64(r);
   cur_y_ = get_opt_u64(r);
   prev_x_ = get_opt_u64(r);
@@ -147,11 +101,11 @@ void EqualityChecker::restore_from(util::serde::ByteReader& r) {
 }
 
 std::uint64_t EqualityChecker::classical_bits_used() const noexcept {
-  if (!active_) return 8;  // prefix counter only
-  const std::uint64_t field_bits =
-      static_cast<std::uint64_t>(field_exponent_) * k_ + 1;
-  // p, t, t^i, accumulator, cur_x, cur_y, prev_x, prev_y.
-  return 8 * field_bits + (k_ + 2) + 8;
+  if (!current_) return 0;
+  // p lies in (2^{qk}, 2^{qk+1}), so it has qk + 1 bits.
+  const std::uint64_t field_bits = std::bit_width(current_->modulus());
+  // p, t, t^i, accumulator, cur_x, cur_y, prev_x, prev_y, plus flags.
+  return 8 * field_bits + 8;
 }
 
 }  // namespace qols::fingerprint

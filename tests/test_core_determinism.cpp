@@ -152,6 +152,23 @@ TEST(OptionWiring, BeyondEveryCeilingIsExplicitlyNotSimulated) {
   EXPECT_EQ(rec.exact_acceptance_probability(), 0.0);
 }
 
+TEST(OptionWiring, ShapeRejectsAreSimulatedWhateverTheCeilings) {
+  // '1^k # #': the prefix announces k, then A1 rejects the empty block. Past
+  // the structured ceiling (k > 16) A3 has no backend, but the word is
+  // decided without it: fully_simulated() must agree with verdict(). Past
+  // A1's kMaxK (k > 20) the prefix itself is rejected.
+  for (const unsigned k : {17u, 20u, 21u, 25u}) {
+    QuantumOnlineRecognizer rec(5);
+    for (unsigned i = 0; i < k; ++i) rec.feed(qols::stream::Symbol::kOne);
+    rec.feed(qols::stream::Symbol::kSep);
+    rec.feed(qols::stream::Symbol::kSep);
+    EXPECT_TRUE(rec.fully_simulated()) << "k=" << k;
+    EXPECT_EQ(rec.verdict(), QuantumOnlineRecognizer::Verdict::kReject)
+        << "k=" << k;
+    EXPECT_TRUE(rec.fully_simulated()) << "k=" << k;
+  }
+}
+
 TEST(OptionWiring, UnknownBackendIdThrowsAtConstruction) {
   QuantumOnlineRecognizer::Options opts;
   opts.a3.backend = "analog";

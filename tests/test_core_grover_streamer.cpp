@@ -142,7 +142,7 @@ TEST(GroverStreamer, SurvivesMalformedStreams) {
   EXPECT_NO_THROW(a3.finish_output());
 }
 
-// --- word-at-a-time scanner: chunked feeding == per-symbol feeding ---------
+// --- the run scanner: chunked feeding == per-symbol feeding ----------------
 
 using qols::stream::Symbol;
 
@@ -222,8 +222,9 @@ TEST(GroverStreamer, ChunkedScannerMatchesPerSymbolFeeding) {
         LDisjInstance::make_with_intersections(k, 1, rng).render());
     words.push_back(LDisjInstance::make_disjoint(k, rng).render());
   }
-  // Overlong blocks: the first bit past m freezes the register (done_),
-  // reached by a zero run, by a one-bit, and by a run crossing the limit.
+  // Overlong blocks: the tape head stops at the first bit past m, which
+  // freezes the register there, reached by a zero run, by a one-bit, and by
+  // a run crossing the limit.
   {
     std::string w = run_word(2, short_runs);
     words.push_back(w.insert(3 + 16 * 3 + 3, std::string(13, '0')));

@@ -7,6 +7,7 @@
 #include "qols/fingerprint/equality_checker.hpp"
 #include "qols/fingerprint/poly_fingerprint.hpp"
 #include "qols/lang/ldisj_instance.hpp"
+#include "qols/lang/structure_validator.hpp"
 #include "qols/stream/symbol_stream.hpp"
 #include "qols/util/modmath.hpp"
 
@@ -152,10 +153,16 @@ TEST(PolyFingerprint, CollisionRateIsBoundedByTheory) {
 
 // --- A2 ---------------------------------------------------------------------
 
+// A2 reads the word through the tape head it shares with A1.
+void feed_a2(EqualityChecker& a2, qols::stream::SymbolStream& s) {
+  qols::lang::StructureValidator tape;
+  while (auto sym = s.next()) tape.feed(*sym, a2);
+}
+
 bool run_a2(const std::string& word, std::uint64_t seed) {
   EqualityChecker a2{Rng(seed)};
   StringStream s(word);
-  while (auto sym = s.next()) a2.feed(*sym);
+  feed_a2(a2, s);
   return a2.passed();
 }
 
@@ -208,7 +215,7 @@ TEST(EqualityChecker, ExposesPrimeInPaperInterval) {
   auto inst = LDisjInstance::make_disjoint(3, rng);
   EqualityChecker a2{Rng(1)};
   StringStream s(inst.render());
-  while (auto sym = s.next()) a2.feed(*sym);
+  feed_a2(a2, s);
   ASSERT_TRUE(a2.prime().has_value());
   EXPECT_GT(*a2.prime(), 1ULL << 12);  // 2^{4k} with k=3
   EXPECT_LT(*a2.prime(), 1ULL << 13);
@@ -222,7 +229,7 @@ TEST(EqualityChecker, SpaceIsLogarithmic) {
     auto inst = LDisjInstance::make_disjoint(k, rng);
     EqualityChecker a2{Rng(1)};
     auto s = inst.stream();
-    while (auto sym = s->next()) a2.feed(*sym);
+    feed_a2(a2, *s);
     EXPECT_LE(a2.classical_bits_used(), 64 * k + 64) << "k=" << k;
   }
 }

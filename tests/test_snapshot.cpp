@@ -4,6 +4,7 @@
 // rejected with typed errors instead of corrupting state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -98,6 +99,63 @@ TEST(SnapshotRoundTrip, EveryKindAtEveryCut) {
   }
 }
 
+const RecognizerKind kAllKinds[] = {
+    RecognizerKind::kClassicalBlock, RecognizerKind::kClassicalFull,
+    RecognizerKind::kClassicalSampling, RecognizerKind::kClassicalBloom,
+    RecognizerKind::kQuantum};
+
+/// Feeds word[from, to) in chunks of `chunk` symbols.
+void feed_range(OnlineRecognizer& rec, const std::vector<Symbol>& word,
+                std::size_t from, std::size_t to, std::size_t chunk) {
+  for (std::size_t at = from; at < to; at += chunk) {
+    rec.feed_chunk(std::span<const Symbol>(word.data() + at,
+                                           std::min(chunk, to - at)));
+  }
+}
+
+TEST(SnapshotRoundTrip, MidRunCheckpointEqualsStraightRun) {
+  // Cuts inside the data runs of x-, y- and z-blocks of two repetitions, so
+  // the run the tape head is handing out is split across the checkpoint.
+  // The image at the cut must not depend on how the prefix was chunked, and
+  // the resumed run must end in the straight run's exact state (snapshot
+  // bytes, quantum register included) and outcome.
+  qols::util::Rng rng(92);
+  const unsigned k = 2;
+  const std::uint64_t m = std::uint64_t{1} << (2 * k);
+  const auto word =
+      word_of(qols::lang::LDisjInstance::make_with_intersections(k, 2, rng));
+  for (const RecognizerKind kind : kAllKinds) {
+    RecognizerSpec spec;
+    spec.kind = kind;
+    auto straight = spec.make(11);
+    feed_range(*straight, word, 0, word.size(), 5);
+    const Outcome want = finish_outcome(*straight);
+    for (std::size_t block = 0; block < 6; ++block) {
+      for (const std::uint64_t into : {std::uint64_t{1}, m / 2 + 1, m - 1}) {
+        const std::size_t cut = k + 1 + block * (m + 1) + into;
+        auto per_symbol = spec.make(11);
+        feed_range(*per_symbol, word, 0, cut, 1);
+        auto first = spec.make(11);
+        feed_range(*first, word, 0, cut, 3);
+        const std::vector<std::uint8_t> bytes = first->snapshot();
+        ASSERT_EQ(bytes, per_symbol->snapshot())
+            << qols::service::recognizer_kind_name(kind) << " cut=" << cut;
+
+        auto second = spec.make(12);
+        second->restore(bytes);
+        auto uncut = spec.make(11);
+        // The resumed half is fed whole, the uncut run symbol by symbol.
+        feed_range(*second, word, cut, word.size(), word.size());
+        feed_range(*uncut, word, 0, word.size(), 1);
+        ASSERT_EQ(second->snapshot(), uncut->snapshot())
+            << qols::service::recognizer_kind_name(kind) << " cut=" << cut;
+        ASSERT_EQ(finish_outcome(*second), want)
+            << qols::service::recognizer_kind_name(kind) << " cut=" << cut;
+      }
+    }
+  }
+}
+
 TEST(SnapshotRoundTrip, IntersectingWordRejectsAfterResume) {
   // The machinery that finds the intersection (block buffers, bloom bits,
   // sampler indices) must survive the freeze with its evidence intact.
@@ -185,6 +243,42 @@ TEST(SnapshotCodec, RejectsMalformedByteStrings) {
     bad.push_back(0);  // trailing bytes
     rejects(bad);
   }
+}
+
+TEST(SnapshotCodec, RefusesVersionOneImages) {
+  // Version 1 gave every procedure its own position fields; its images do
+  // not fit the one tape head of version 2 and must be refused, not guessed.
+  const auto& word = small_member_word();
+  for (const RecognizerKind kind : kAllKinds) {
+    RecognizerSpec spec;
+    spec.kind = kind;
+    auto rec = spec.make(13);
+    rec->feed_chunk(std::span<const Symbol>(word.data(), word.size() / 2));
+    std::vector<std::uint8_t> bytes = rec->snapshot();
+    ASSERT_EQ(bytes[2], qols::machine::kSnapshotVersion);
+    bytes[2] = 1;
+    auto fresh = spec.make(1);
+    EXPECT_THROW(fresh->restore(bytes), DecodeError)
+        << qols::service::recognizer_kind_name(kind);
+  }
+}
+
+TEST(SnapshotCodec, RefusesTapeHeadThatDisagreesWithA3) {
+  // A3 addresses its register with the tape head's offsets: an image whose
+  // head claims k = 2 over A3's k = 1 register would index past it.
+  const auto& word = small_member_word();
+  RecognizerSpec spec;
+  spec.kind = RecognizerKind::kQuantum;
+  auto rec = spec.make(14);
+  rec->feed_chunk(std::span<const Symbol>(word.data(), 4));  // "1#" + 2 bits
+  std::vector<std::uint8_t> bytes = rec->snapshot();
+  // Header (4 bytes), then the head: phase (1), k (4), m (8), little-endian.
+  ASSERT_EQ(bytes[5], 1);
+  ASSERT_EQ(bytes[9], 4);
+  bytes[5] = 2;
+  bytes[9] = 16;
+  auto fresh = spec.make(1);
+  EXPECT_THROW(fresh->restore(bytes), DecodeError);
 }
 
 TEST(SnapshotCodec, KindTagPreventsCrossRestores) {
